@@ -25,21 +25,27 @@
 //! `t'` bounded `J(s..t') = J(s..e)` by the allowance of
 //! `max(T, t'−s+1) ≤ e−s+1` slots, and allowances are monotone.
 //!
-//! **Complexity.** Condition 1 is a sliding-window jam counter. With
-//! `P(x)` = jams in slots `0..x` and the potential
+//! **Complexity.** With `P(x)` = jams in slots `0..x`, condition 1
+//! bounds `P(t) − P(x)` for `x = max(0, t+1−T)`. With the potential
 //! `G(x) = 2^32·P(x) − (2^32 − num)·x` (`ε = num/2^32`), condition 2 for
-//! an integer jam count is *equivalent* to `G(t+1) ≤ min_{x ≤ t+1−T} G(x)`,
-//! maintained with a `T`-slot delay line and a running minimum — O(1)
-//! amortized per slot, O(T) memory.
+//! an integer jam count is *equivalent* to `G(t+1) ≤ min_{x ≤ t+1−T} G(x)`.
+//! The slot `x = t+1−T` that leaves condition 1's window is the same `x`
+//! that joins condition 2's eligible set, and against that one `x`
+//! condition 2 reduces to condition 1 (both read
+//! `(P(t) − P(x) + 1)·2^32 ≤ (2^32 − num)·T`). So one ring of the last
+//! `T` prefix counts serves both conditions, the running minimum only
+//! needs `x ≤ t−T`, and `G(t)` itself moves by `+num` or
+//! `−(2^32 − num)` per slot — adds only, O(1) per slot, O(T) memory.
 
 use crate::rate::Rate;
-use std::collections::VecDeque;
 
 /// Stateful `(T, 1−ε)` budget enforcer.
 ///
 /// Drive it one slot at a time: query [`JamBudget::can_jam`] for the slot
 /// about to be played, then commit the decision with
-/// [`JamBudget::advance`].
+/// [`JamBudget::advance`] — or do both at once with
+/// [`JamBudget::try_jam`] / [`JamBudget::skip`], which run the admission
+/// test at most once.
 ///
 /// # Examples
 ///
@@ -63,18 +69,22 @@ pub struct JamBudget {
     now: u64,
     /// Total jams committed so far (`P(now)`).
     total_jams: u64,
-    /// Jam bits of the last `min(now, T−1)` slots, oldest first.
-    recent: VecDeque<bool>,
-    /// Number of `true` bits in `recent`.
-    recent_jams: u64,
-    /// `G(x)` values for `x` in `(now−T, now]` awaiting eligibility,
-    /// oldest first (front is `G(now − len + 1)`).
-    pending_g: VecDeque<i128>,
-    /// `min_{x ≤ now − T} G(x)`; `G(0) = 0` is eligible from the start
-    /// once `now ≥ T`.
-    min_g_eligible: Option<i128>,
+    /// Prefix counts `P(x)` for `x ∈ [max(0, now+1−T), now]`, a ring of
+    /// `min(now+1, T)` entries: it grows by push until it holds `T`, then
+    /// `P(x)` lives at index `x mod T`.
+    prefix: Vec<u64>,
+    /// Index in `prefix` of the oldest entry, `P(max(0, now+1−T))`: `0`
+    /// while the ring grows, then `(now+1) mod T`.
+    oldest: usize,
+    /// `G(now)`, kept by adds.
+    g_now: i128,
+    /// `min_{x ≤ now−T} G(x)`; `i128::MAX` while no `x` is eligible.
+    min_g: i128,
     /// Precomputed `⌊(1−ε)·T⌋`.
     allow_t: u64,
+    /// Precomputed `(2^32 − num)·(T−1)`: with `now − x = T−1`,
+    /// `G(x) = G(now) − 2^32·(P(now) − P(x)) + (2^32 − num)·(T−1)`.
+    g_span: i128,
 }
 
 impl JamBudget {
@@ -84,16 +94,19 @@ impl JamBudget {
     /// Panics if `t_window == 0` (the paper requires `T ≥ 1`).
     pub fn new(eps: Rate, t_window: u64) -> Self {
         assert!(t_window >= 1, "T must be at least 1");
+        let mut prefix = Vec::with_capacity((t_window as usize).min(1 << 22));
+        prefix.push(0); // P(0)
         JamBudget {
             eps,
             t_window,
             now: 0,
             total_jams: 0,
-            recent: VecDeque::with_capacity((t_window as usize).saturating_sub(1).min(1 << 22)),
-            recent_jams: 0,
-            pending_g: VecDeque::with_capacity((t_window as usize).min(1 << 22)),
-            min_g_eligible: None,
+            prefix,
+            oldest: 0,
+            g_now: 0,
+            min_g: i128::MAX,
             allow_t: eps.allowance(t_window),
+            g_span: eps.complement_num() as i128 * (t_window - 1) as i128,
         }
     }
 
@@ -135,109 +148,72 @@ impl JamBudget {
         }
     }
 
-    /// `G(x)` for the *current* prefix (`x = now`), assuming `add` extra
-    /// jams.
+    /// Jams among the last `min(now, T−1)` committed slots.
     #[inline]
-    fn g_with(&self, extra_jams: u64, extra_slots: u64) -> i128 {
-        let p = (self.total_jams + extra_jams) as i128 * Rate::SCALE as i128;
-        let w = (self.now + extra_slots) as i128 * self.eps.complement_num() as i128;
-        p - w
+    fn recent_jams(&self) -> u64 {
+        self.total_jams - self.prefix[self.oldest]
     }
 
     /// Whether jamming the slot about to be played would keep every window
     /// (past and future) satisfiable.
+    #[inline]
     pub fn can_jam(&self) -> bool {
         // Condition 1: the length-T window starting at max(0, now−T+2).
-        // J over the last min(now, T−1) committed slots, plus this jam.
-        if self.recent_jams + 1 > self.allow_t {
-            return false;
-        }
-        // Condition 2: completed windows [s, now] with now−s+1 ≥ T,
-        // i.e. x = s ∈ [0, now+1−T]. Equivalent: G(now+1) ≤ min G(x).
-        if let Some(min_g) = self.eligible_min_with_current() {
-            let g_next = self.g_with(1, 1);
-            if g_next > min_g {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// `min_{x ≤ now+1−T} G(x)`, or `None` if no `x` is eligible yet.
-    ///
-    /// Eligible set for deciding slot `now`: `x ∈ [0, now+1−T]`. The
-    /// delay-line bookkeeping in [`advance`](Self::advance) keeps
-    /// `min_g_eligible` covering `x ≤ now−T`; the one newly eligible value
-    /// `x = now+1−T` sits at the front of `pending_g` (or is `G(0) = 0`).
-    fn eligible_min_with_current(&self) -> Option<i128> {
-        if self.now + 1 < self.t_window {
-            return None;
-        }
-        let newly = if self.now + 1 == self.t_window {
-            // x = 0: G(0) = 0.
-            0i128
-        } else {
-            // pending_g front is G(now − len + 1); we need G(now+1−T).
-            // len is maintained at exactly T (see advance), so front is
-            // G(now + 1 − T).
-            *self.pending_g.front().expect("delay line non-empty once now+1 > T")
-        };
-        Some(match self.min_g_eligible {
-            Some(m) => m.min(newly),
-            None => newly,
-        })
+        // Condition 2: G(now+1) with this jam against x ≤ now−T; the
+        // newly eligible x = now+1−T is covered by condition 1 (module
+        // docs).
+        self.recent_jams() < self.allow_t && self.g_now + self.eps.num() as i128 <= self.min_g
     }
 
     /// Commit the decision for the slot about to be played.
     ///
     /// # Panics
     /// Panics if `jam` is `true` but the jam violates the budget — callers
-    /// must consult [`JamBudget::can_jam`] first (the engine does).
+    /// must consult [`JamBudget::can_jam`] first, or use
+    /// [`JamBudget::try_jam`].
     pub fn advance(&mut self, jam: bool) {
         if jam {
             assert!(self.can_jam(), "budget violation: jam of slot {} rejected", self.now);
         }
-        // Newly eligible G becomes part of the running minimum.
-        if self.now + 1 >= self.t_window {
-            let newly = if self.now + 1 == self.t_window {
-                0i128
-            } else {
-                self.pending_g.pop_front().expect("delay line non-empty")
-            };
-            self.min_g_eligible = Some(match self.min_g_eligible {
-                Some(m) => m.min(newly),
-                None => newly,
-            });
+        self.commit(jam);
+    }
+
+    /// [`advance`](Self::advance) without the admission check.
+    #[inline]
+    fn commit(&mut self, jam: bool) {
+        let complement = self.eps.complement_num() as i128;
+        if self.prefix.len() as u64 == self.t_window {
+            // x = now+1−T leaves the jam window and joins the minimum;
+            // its ring cell then takes P(now+1).
+            let g_x = self.g_now - ((self.recent_jams() as i128) << 32) + self.g_span;
+            self.min_g = self.min_g.min(g_x);
+            self.total_jams += jam as u64;
+            self.prefix[self.oldest] = self.total_jams;
+            self.oldest += 1;
+            if self.oldest == self.prefix.len() {
+                self.oldest = 0;
+            }
+        } else {
+            self.total_jams += jam as u64;
+            self.prefix.push(self.total_jams);
         }
-        if jam {
-            self.total_jams += 1;
-            self.recent_jams += 1;
-        }
+        self.g_now += ((jam as i128) << 32) - complement;
         self.now += 1;
-        // Push G(now) (prefix after this slot) into the delay line.
-        self.pending_g.push_back(self.g_with(0, 0));
-        debug_assert!(self.pending_g.len() as u64 <= self.t_window);
-        // Maintain the trailing window of T−1 jam bits.
-        self.recent.push_back(jam);
-        if self.recent.len() as u64 > self.t_window.saturating_sub(1)
-            && self.recent.pop_front() == Some(true)
-        {
-            self.recent_jams -= 1;
-        }
     }
 
     /// Convenience: jam if permitted, then advance. Returns whether the
     /// slot was jammed.
+    #[inline]
     pub fn try_jam(&mut self) -> bool {
         let ok = self.can_jam();
-        self.advance(ok);
+        self.commit(ok);
         ok
     }
 
     /// Advance one slot without jamming.
     #[inline]
     pub fn skip(&mut self) {
-        self.advance(false);
+        self.commit(false);
     }
 }
 
@@ -369,6 +345,19 @@ mod tests {
     }
 
     #[test]
+    fn saturating_million_slots_match_reference() {
+        let eps = Rate::from_ratio(3, 10);
+        let mut ring = JamBudget::new(eps, 64);
+        let mut oracle = reference::JamBudget::new(eps, 64);
+        for slot in 0..1_000_000u64 {
+            assert_eq!(ring.try_jam(), oracle.try_jam(), "decision differs at slot {slot}");
+        }
+        assert_eq!(ring.total_jammed(), oracle.total_jammed());
+        assert_eq!(ring.now(), oracle.now());
+        assert_eq!(ring.spent_fraction().to_bits(), oracle.spent_fraction().to_bits());
+    }
+
+    #[test]
     fn can_jam_is_pure() {
         let eps = Rate::from_f64(0.5);
         let mut b = JamBudget::new(eps, 4);
@@ -410,6 +399,46 @@ mod proptests {
                 }
             }
             verify_all_windows_ref(&jams, eps, t);
+        }
+
+        /// The ring matches the two-delay-line reference decision for
+        /// decision under any mix of `try_jam`, `skip` and legal
+        /// `advance` (op 2: `advance(can_jam())`, op 3: `advance(false)`).
+        #[test]
+        fn matches_reference_enforcer(
+            num in 1u64..Rate::SCALE,
+            t in 1u64..=200,
+            ops in proptest::collection::vec(0u8..4, 1..2001),
+        ) {
+            let ops = &ops[..ops.len().min(10 * t as usize)];
+            let eps = Rate::from_num(num);
+            let mut ring = JamBudget::new(eps, t);
+            let mut oracle = super::reference::JamBudget::new(eps, t);
+            for (i, &op) in ops.iter().enumerate() {
+                prop_assert_eq!(ring.can_jam(), oracle.can_jam(), "can_jam differs at op {}", i);
+                match op {
+                    0 => prop_assert_eq!(ring.try_jam(), oracle.try_jam()),
+                    1 => {
+                        ring.skip();
+                        oracle.skip();
+                    }
+                    2 => {
+                        let jam = oracle.can_jam();
+                        ring.advance(jam);
+                        oracle.advance(jam);
+                    }
+                    _ => {
+                        ring.advance(false);
+                        oracle.advance(false);
+                    }
+                }
+                prop_assert_eq!(ring.total_jammed(), oracle.total_jammed());
+                prop_assert_eq!(ring.now(), oracle.now());
+                prop_assert_eq!(
+                    ring.spent_fraction().to_bits(),
+                    oracle.spent_fraction().to_bits()
+                );
+            }
         }
 
         /// `try_jam` reports exactly the committed jams.
@@ -457,6 +486,201 @@ pub(crate) mod tests_support {
                     eps.allowance(w)
                 );
             }
+        }
+    }
+}
+
+/// The two-delay-line enforcer this module's ring replaced, kept
+/// verbatim as the oracle the ring must match decision for decision.
+#[cfg(test)]
+#[allow(dead_code)] // verbatim: the oracle tests do not read every accessor
+mod reference {
+    use crate::rate::Rate;
+    use std::collections::VecDeque;
+
+    #[derive(Debug, Clone)]
+    pub struct JamBudget {
+        eps: Rate,
+        t_window: u64,
+        /// Next slot index to be decided.
+        now: u64,
+        /// Total jams committed so far (`P(now)`).
+        total_jams: u64,
+        /// Jam bits of the last `min(now, T−1)` slots, oldest first.
+        recent: VecDeque<bool>,
+        /// Number of `true` bits in `recent`.
+        recent_jams: u64,
+        /// `G(x)` values for `x` in `(now−T, now]` awaiting eligibility,
+        /// oldest first (front is `G(now − len + 1)`).
+        pending_g: VecDeque<i128>,
+        /// `min_{x ≤ now − T} G(x)`; `G(0) = 0` is eligible from the start
+        /// once `now ≥ T`.
+        min_g_eligible: Option<i128>,
+        /// Precomputed `⌊(1−ε)·T⌋`.
+        allow_t: u64,
+    }
+
+    impl JamBudget {
+        /// Create an enforcer for a `(t_window, 1−eps)`-bounded adversary.
+        ///
+        /// # Panics
+        /// Panics if `t_window == 0` (the paper requires `T ≥ 1`).
+        pub fn new(eps: Rate, t_window: u64) -> Self {
+            assert!(t_window >= 1, "T must be at least 1");
+            JamBudget {
+                eps,
+                t_window,
+                now: 0,
+                total_jams: 0,
+                recent: VecDeque::with_capacity((t_window as usize).saturating_sub(1).min(1 << 22)),
+                recent_jams: 0,
+                pending_g: VecDeque::with_capacity((t_window as usize).min(1 << 22)),
+                min_g_eligible: None,
+                allow_t: eps.allowance(t_window),
+            }
+        }
+
+        /// The ε of this budget.
+        #[inline]
+        pub fn eps(&self) -> Rate {
+            self.eps
+        }
+
+        /// The window parameter `T`.
+        #[inline]
+        pub fn t_window(&self) -> u64 {
+            self.t_window
+        }
+
+        /// Index of the slot about to be decided.
+        #[inline]
+        pub fn now(&self) -> u64 {
+            self.now
+        }
+
+        /// Total jams committed so far.
+        #[inline]
+        pub fn total_jammed(&self) -> u64 {
+            self.total_jams
+        }
+
+        /// Fraction of the jamming allowance spent so far: committed jams over
+        /// `⌊(1−ε)·max(now, T)⌋` (windows shorter than `T` are measured
+        /// against the `T`-slot allowance they are borrowing from). `0.0` when
+        /// the allowance is zero; may briefly exceed `1.0` inside a window
+        /// shorter than `T`, where bursts beyond the pro-rata bound are legal.
+        pub fn spent_fraction(&self) -> f64 {
+            let allowance = self.eps.allowance(self.now.max(self.t_window));
+            if allowance == 0 {
+                0.0
+            } else {
+                self.total_jams as f64 / allowance as f64
+            }
+        }
+
+        /// `G(x)` for the *current* prefix (`x = now`), assuming `add` extra
+        /// jams.
+        #[inline]
+        fn g_with(&self, extra_jams: u64, extra_slots: u64) -> i128 {
+            let p = (self.total_jams + extra_jams) as i128 * Rate::SCALE as i128;
+            let w = (self.now + extra_slots) as i128 * self.eps.complement_num() as i128;
+            p - w
+        }
+
+        /// Whether jamming the slot about to be played would keep every window
+        /// (past and future) satisfiable.
+        pub fn can_jam(&self) -> bool {
+            // Condition 1: the length-T window starting at max(0, now−T+2).
+            // J over the last min(now, T−1) committed slots, plus this jam.
+            if self.recent_jams + 1 > self.allow_t {
+                return false;
+            }
+            // Condition 2: completed windows [s, now] with now−s+1 ≥ T,
+            // i.e. x = s ∈ [0, now+1−T]. Equivalent: G(now+1) ≤ min G(x).
+            if let Some(min_g) = self.eligible_min_with_current() {
+                let g_next = self.g_with(1, 1);
+                if g_next > min_g {
+                    return false;
+                }
+            }
+            true
+        }
+
+        /// `min_{x ≤ now+1−T} G(x)`, or `None` if no `x` is eligible yet.
+        ///
+        /// Eligible set for deciding slot `now`: `x ∈ [0, now+1−T]`. The
+        /// delay-line bookkeeping in [`advance`](Self::advance) keeps
+        /// `min_g_eligible` covering `x ≤ now−T`; the one newly eligible value
+        /// `x = now+1−T` sits at the front of `pending_g` (or is `G(0) = 0`).
+        fn eligible_min_with_current(&self) -> Option<i128> {
+            if self.now + 1 < self.t_window {
+                return None;
+            }
+            let newly = if self.now + 1 == self.t_window {
+                // x = 0: G(0) = 0.
+                0i128
+            } else {
+                // pending_g front is G(now − len + 1); we need G(now+1−T).
+                // len is maintained at exactly T (see advance), so front is
+                // G(now + 1 − T).
+                *self.pending_g.front().expect("delay line non-empty once now+1 > T")
+            };
+            Some(match self.min_g_eligible {
+                Some(m) => m.min(newly),
+                None => newly,
+            })
+        }
+
+        /// Commit the decision for the slot about to be played.
+        ///
+        /// # Panics
+        /// Panics if `jam` is `true` but the jam violates the budget — callers
+        /// must consult [`JamBudget::can_jam`] first (the engine does).
+        pub fn advance(&mut self, jam: bool) {
+            if jam {
+                assert!(self.can_jam(), "budget violation: jam of slot {} rejected", self.now);
+            }
+            // Newly eligible G becomes part of the running minimum.
+            if self.now + 1 >= self.t_window {
+                let newly = if self.now + 1 == self.t_window {
+                    0i128
+                } else {
+                    self.pending_g.pop_front().expect("delay line non-empty")
+                };
+                self.min_g_eligible = Some(match self.min_g_eligible {
+                    Some(m) => m.min(newly),
+                    None => newly,
+                });
+            }
+            if jam {
+                self.total_jams += 1;
+                self.recent_jams += 1;
+            }
+            self.now += 1;
+            // Push G(now) (prefix after this slot) into the delay line.
+            self.pending_g.push_back(self.g_with(0, 0));
+            debug_assert!(self.pending_g.len() as u64 <= self.t_window);
+            // Maintain the trailing window of T−1 jam bits.
+            self.recent.push_back(jam);
+            if self.recent.len() as u64 > self.t_window.saturating_sub(1)
+                && self.recent.pop_front() == Some(true)
+            {
+                self.recent_jams -= 1;
+            }
+        }
+
+        /// Convenience: jam if permitted, then advance. Returns whether the
+        /// slot was jammed.
+        pub fn try_jam(&mut self) -> bool {
+            let ok = self.can_jam();
+            self.advance(ok);
+            ok
+        }
+
+        /// Advance one slot without jamming.
+        #[inline]
+        pub fn skip(&mut self) {
+            self.advance(false);
         }
     }
 }

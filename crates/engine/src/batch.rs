@@ -138,8 +138,12 @@ impl TrialLane {
     /// accounting, and first-clean-single resolution — steps 3–5 of the
     /// core loop, in its exact draw order.
     fn commit_slot(&mut self, config: &SimConfig, slot: u64, estimate: Option<f64>) {
-        let jam = self.want && self.budget.can_jam();
-        self.budget.advance(jam);
+        let jam = if self.want {
+            self.budget.try_jam()
+        } else {
+            self.budget.skip();
+            false
+        };
         let noisy = config.noise_prob > 0.0 && self.noise_rng.gen_bool(config.noise_prob);
         if noisy {
             self.report.noise_slots += 1;

@@ -293,9 +293,12 @@ impl Jammer {
             Jammer::CommitFirst { budget, .. } => (budget, want),
             Jammer::Oracle { budget } => (budget, transmitters == 1),
         };
-        let jam = request && budget.can_jam();
-        budget.advance(jam);
-        jam
+        if request {
+            budget.try_jam()
+        } else {
+            budget.skip();
+            false
+        }
     }
 
     /// The enforcer, for post-run budget accounting (read-only).

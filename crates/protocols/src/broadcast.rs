@@ -23,17 +23,26 @@ const POW2_NEG: [f64; POW2_NEG_LEVELS] = {
     table
 };
 
+/// Smallest estimate whose probability underflows: `2^{-1075}` lies
+/// halfway between 0 and the least subnormal `2^{-1074}` and rounds to
+/// even, so `(-u).exp2()` is exactly `0.0` for every `u ≥ 1075`.
+const UNDERFLOW_U: f64 = 1075.0;
+
 /// Transmission probability for estimate `u`: `2^{-u}`, clamped to `[0,1]`.
 ///
 /// `u` may be any non-negative real (LESK moves it in steps of `ε/8`);
-/// values so large that `2^{-u}` underflows simply yield probability 0.
-/// Whole-number estimates below 64 hit a constant table whose entries
-/// are bit-identical to `(-u).exp2()`, so memoization is invisible to
-/// golden fixtures.
+/// values so large that `2^{-u}` underflows simply yield probability 0,
+/// returned without an `exp2` call (Willard's estimate climbs far past
+/// that point under saturating jamming). Whole-number estimates below 64
+/// hit a constant table whose entries are bit-identical to
+/// `(-u).exp2()`, so memoization is invisible to golden fixtures.
 #[inline]
 pub fn tx_probability(u: f64) -> f64 {
     if u <= 0.0 {
         return 1.0;
+    }
+    if u >= UNDERFLOW_U {
+        return 0.0;
     }
     let k = u as usize;
     if k < POW2_NEG_LEVELS && u == k as f64 {
@@ -82,6 +91,27 @@ mod tests {
         // Fractional estimates never hit the table.
         for u in [0.125, 1.5, 33.25, 63.875] {
             assert_eq!(tx_probability(u).to_bits(), (-u).exp2().to_bits());
+        }
+    }
+
+    #[test]
+    fn underflow_cutoff_is_bitwise_identical_to_exp2() {
+        assert_eq!((-UNDERFLOW_U).exp2().to_bits(), 0.0f64.to_bits(), "exp2 is +0.0 at the cutoff");
+        assert!((-(UNDERFLOW_U - 0.5)).exp2() > 0.0, "the cutoff is the first zero");
+        // Whole and fractional estimates in eighth-steps over [1000, 1200],
+        // plus values straddling the cutoff by one ulp.
+        let grid = (0..=1600).map(|i| 1000.0 + i as f64 / 8.0);
+        let edges = [
+            1074.0,
+            1_074.999_999_999,
+            f64::from_bits(UNDERFLOW_U.to_bits() - 1),
+            UNDERFLOW_U,
+            f64::from_bits(UNDERFLOW_U.to_bits() + 1),
+            1075.3,
+            1199.9,
+        ];
+        for u in grid.chain(edges) {
+            assert_eq!(tx_probability(u).to_bits(), (-u).exp2().to_bits(), "u = {u}");
         }
     }
 }

@@ -12,7 +12,6 @@
 use crate::slot::{ChannelState, SlotTruth};
 use crate::trace::PackedSlot;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Exact cumulative statistics over the entire run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,12 +65,22 @@ pub trait HistoryView {
     fn retained_from(&self) -> u64;
 }
 
+/// Most ring entries [`ChannelHistory::new`] allocates up front; larger
+/// retentions grow the ring by doubling as slots arrive.
+const INITIAL_RING: usize = 1 << 10;
+
 /// Growable channel record with bounded per-slot retention.
 #[derive(Debug, Clone)]
 pub struct ChannelHistory {
-    ring: VecDeque<PackedSlot>,
+    /// Power-of-two ring: slot `s` lives at `ring[s mod ring.len()]`. It
+    /// grows by doubling (only before any slot has been dropped) until it
+    /// holds `retention` slots; [`reset`](Self::reset) keeps its length.
+    ring: Vec<PackedSlot>,
     retention: usize,
-    first_retained: u64,
+    /// The `now` at which the ring must double before the next push;
+    /// `u64::MAX` once it has reached full size.
+    grow_at: u64,
+    now: u64,
     counts: StateCounts,
 }
 
@@ -79,13 +88,16 @@ impl ChannelHistory {
     /// Create a history retaining at least `retention` most-recent slots
     /// (minimum 1).
     pub fn new(retention: usize) -> Self {
-        let retention = retention.max(1);
-        ChannelHistory {
-            ring: VecDeque::with_capacity(retention.min(1 << 20)),
-            retention,
-            first_retained: 0,
+        let len = retention.clamp(1, INITIAL_RING).next_power_of_two();
+        let mut h = ChannelHistory {
+            ring: vec![PackedSlot::new(&SlotTruth::IDLE); len],
+            retention: 0,
+            grow_at: 0,
+            now: 0,
             counts: StateCounts::default(),
-        }
+        };
+        h.reset(retention);
+        h
     }
 
     /// Reset to an empty history with a (possibly new) retention window,
@@ -93,25 +105,51 @@ impl ChannelHistory {
     /// trials on one thread.
     pub fn reset(&mut self, retention: usize) {
         self.retention = retention.max(1);
-        self.ring.clear();
-        self.first_retained = 0;
+        self.grow_at = self.next_growth();
+        self.now = 0;
         self.counts = StateCounts::default();
     }
 
-    /// Record the outcome of the next slot.
-    pub fn push(&mut self, truth: &SlotTruth) {
-        self.counts.record(truth);
-        self.ring.push_back(PackedSlot::new(truth));
-        if self.ring.len() > self.retention {
-            self.ring.pop_front();
-            self.first_retained += 1;
+    /// Double the ring. Only reached while `now == ring.len() < retention`,
+    /// so no slot has been dropped yet and every retained slot `s < now`
+    /// already sits at its index in the longer ring.
+    #[cold]
+    fn grow(&mut self) {
+        self.ring.resize(self.ring.len() * 2, PackedSlot::new(&SlotTruth::IDLE));
+        self.grow_at = self.next_growth();
+    }
+
+    /// A ring shorter than the retention must double once it is full.
+    fn next_growth(&self) -> u64 {
+        if self.ring.len() < self.retention {
+            self.ring.len() as u64
+        } else {
+            u64::MAX
         }
+    }
+
+    /// Ring index of `slot` (the length is a power of two).
+    #[inline]
+    fn cell(&self, slot: u64) -> usize {
+        slot as usize & (self.ring.len() - 1)
+    }
+
+    /// Record the outcome of the next slot.
+    #[inline]
+    pub fn push(&mut self, truth: &SlotTruth) {
+        if self.now == self.grow_at {
+            self.grow();
+        }
+        self.counts.record(truth);
+        let cell = self.cell(self.now);
+        self.ring[cell] = PackedSlot::new(truth);
+        self.now += 1;
     }
 
     /// Iterate over the `k` most recent retained slots, oldest first.
     pub fn recent(&self, k: usize) -> impl Iterator<Item = PackedSlot> + '_ {
-        let skip = self.ring.len().saturating_sub(k);
-        self.ring.iter().skip(skip).copied()
+        let k = (k as u64).min(self.now - self.retained_from());
+        (self.now - k..self.now).map(move |s| self.ring[self.cell(s)])
     }
 
     /// Number of jammed slots among the last `k` retained slots.
@@ -123,15 +161,15 @@ impl ChannelHistory {
 impl HistoryView for ChannelHistory {
     #[inline]
     fn now(&self) -> u64 {
-        self.first_retained + self.ring.len() as u64
+        self.now
     }
 
     #[inline]
     fn slot(&self, slot: u64) -> Option<PackedSlot> {
-        if slot < self.first_retained {
+        if slot < self.retained_from() || slot >= self.now {
             return None;
         }
-        self.ring.get((slot - self.first_retained) as usize).copied()
+        Some(self.ring[self.cell(slot)])
     }
 
     #[inline]
@@ -141,7 +179,7 @@ impl HistoryView for ChannelHistory {
 
     #[inline]
     fn retained_from(&self) -> u64 {
-        self.first_retained
+        self.now.saturating_sub(self.retention as u64)
     }
 }
 
@@ -220,5 +258,128 @@ mod tests {
         assert_eq!(h.jammed_in_recent(3), 2);
         assert_eq!(h.jammed_in_recent(4), 3);
         assert_eq!(h.jammed_in_recent(100), 3);
+    }
+
+    /// The `VecDeque` record the ring replaced: exactly `retention`
+    /// newest slots, oldest first.
+    struct Reference {
+        slots: std::collections::VecDeque<PackedSlot>,
+        retention: usize,
+        first: u64,
+        counts: StateCounts,
+    }
+
+    impl Reference {
+        fn new(retention: usize) -> Self {
+            Reference {
+                slots: Default::default(),
+                retention: retention.max(1),
+                first: 0,
+                counts: StateCounts::default(),
+            }
+        }
+
+        fn push(&mut self, truth: &SlotTruth) {
+            self.counts.record(truth);
+            self.slots.push_back(PackedSlot::new(truth));
+            if self.slots.len() > self.retention {
+                self.slots.pop_front();
+                self.first += 1;
+            }
+        }
+
+        fn now(&self) -> u64 {
+            self.first + self.slots.len() as u64
+        }
+
+        fn slot(&self, slot: u64) -> Option<PackedSlot> {
+            slot.checked_sub(self.first).and_then(|i| self.slots.get(i as usize).copied())
+        }
+    }
+
+    /// A deterministic mix of nulls, singles, collisions and jams.
+    fn truth_at(i: u64) -> SlotTruth {
+        let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58;
+        SlotTruth::new(x % 4, x & 0b1_0000 != 0)
+    }
+
+    fn assert_matches(h: &ChannelHistory, r: &Reference) {
+        assert_eq!(h.now(), r.now());
+        assert_eq!(h.retained_from(), r.first);
+        assert_eq!(h.counts(), r.counts);
+        assert_eq!(h.last(), r.now().checked_sub(1).and_then(|s| r.slot(s)));
+        let from = r.first.saturating_sub(2);
+        for s in from..r.now() + 2 {
+            assert_eq!(h.slot(s), r.slot(s), "slot {s} at now {}", r.now());
+        }
+        let len = r.slots.len();
+        for k in [0, 1, 2, len / 2, len, len + 5] {
+            let want: Vec<PackedSlot> =
+                r.slots.iter().skip(len.saturating_sub(k)).copied().collect();
+            assert_eq!(h.recent(k).collect::<Vec<_>>(), want, "recent({k})");
+            let jams = want.iter().filter(|p| p.jammed()).count() as u64;
+            assert_eq!(h.jammed_in_recent(k), jams);
+        }
+    }
+
+    /// Push `len` slots into both, checking cheap state every slot and the
+    /// whole window at intervals and at the end.
+    fn drive(h: &mut ChannelHistory, r: &mut Reference, len: u64) {
+        for i in 0..len {
+            let truth = truth_at(i);
+            h.push(&truth);
+            r.push(&truth);
+            assert_eq!(h.now(), r.now());
+            assert_eq!(h.retained_from(), r.first);
+            assert_eq!(h.last(), r.slot(r.now() - 1));
+            if i % 211 == 0 {
+                assert_matches(h, r);
+            }
+        }
+        assert_matches(h, r);
+    }
+
+    #[test]
+    fn ring_matches_vecdeque_reference() {
+        // Retention 1, powers of two, and non-powers of two on both sides
+        // of the initial ring size (the ring grows past 1024).
+        for retention in [0, 1, 2, 3, 5, 64, 100, 1000, 1024, 1025, 1500, 3000] {
+            let mut h = ChannelHistory::new(retention);
+            let mut r = Reference::new(retention);
+            assert_matches(&h, &r);
+            drive(&mut h, &mut r, 5000);
+        }
+    }
+
+    #[test]
+    fn reset_to_another_retention_matches_reference() {
+        // Arena reuse: one ring serves a sequence of trials with shrinking
+        // and growing retentions, some reset mid-growth.
+        let mut h = ChannelHistory::new(3000);
+        let mut r = Reference::new(3000);
+        drive(&mut h, &mut r, 1500);
+        for (retention, len) in
+            [(5, 400), (1, 50), (2500, 6000), (7, 20), (100, 1000), (4096, 9000)]
+        {
+            h.reset(retention);
+            r = Reference::new(retention);
+            assert_matches(&h, &r);
+            drive(&mut h, &mut r, len);
+        }
+    }
+
+    #[test]
+    fn huge_retention_allocates_lazily() {
+        // Memory stays bounded by what has been pushed: construction
+        // reserves at most 2^20 entries, and the ring only grows as slots
+        // arrive.
+        let mut h = ChannelHistory::new(1 << 40);
+        assert!(h.ring.capacity() <= 1 << 20);
+        let mut r = Reference::new(1 << 40);
+        drive(&mut h, &mut r, 3000);
+        assert!(h.ring.capacity() <= 4096);
+        h.reset(usize::MAX);
+        assert!(h.ring.capacity() <= 4096);
+        assert_eq!(h.retained_from(), 0);
     }
 }

@@ -75,13 +75,19 @@ impl FlightRing {
     }
 
     /// Record one event, evicting the oldest once full.
+    #[inline]
     pub fn push(&mut self, ev: SlotEvent) {
         if self.buf.len() < self.cap {
             self.buf.push(ev);
         } else {
             self.buf[self.next] = ev;
         }
-        self.next = (self.next + 1) % self.cap;
+        // Wrap by compare, not `%`: this runs on every slot of an observed
+        // run, and a division is the costliest step in it.
+        self.next += 1;
+        if self.next == self.cap {
+            self.next = 0;
+        }
         self.total += 1;
     }
 
