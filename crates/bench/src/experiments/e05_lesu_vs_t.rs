@@ -2,7 +2,7 @@
 //! versus the prior art's `O(T log T)` (ARSS'14).
 //!
 //! Constant hidden ε = 1/2, `n = 256`, `T ≫ log n`, burst jammer that
-//! blacks out `T`-long stretches. The paper's improvement over [3] in
+//! blacks out `T`-long stretches. The paper's improvement over \[3\] in
 //! this regime is the `log T → loglog T` factor; we report
 //! `slots / T` against both `loglog T` and `log T` growth curves.
 

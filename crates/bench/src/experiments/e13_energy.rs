@@ -1,7 +1,7 @@
 //! E13 — energy accounting (the paper's Section 1.3 remark).
 //!
 //! The paper does not analyze energy but "expects the energetic
-//! efficiency … to be similar to the leader election from [3]". We
+//! efficiency … to be similar to the leader election from \[3\]". We
 //! measure transmissions per station and total listening cost for every
 //! protocol, with and without jamming.
 

@@ -9,7 +9,7 @@
 //! * a **targeted** jammer that spends its budget on one rank's slots
 //!   needs only a `1/n` jam rate to starve that station — the public
 //!   schedule is the vulnerability, echoing why the reactive-jamming
-//!   fairness literature (Richa et al., §1.3 ref [24]) is nontrivial.
+//!   fairness literature (Richa et al., §1.3 ref \[24\]) is nontrivial.
 
 use crate::common::{saturating, ExpContext, ExperimentResult};
 use jle_adversary::AdversarySpec;

@@ -1,6 +1,6 @@
 //! E23 — the energy/latency trade-off of duty-cycled LESK (extension).
 //!
-//! Following the authors' energy-efficiency thread (their ref [13]):
+//! Following the authors' energy-efficiency thread (their ref \[13\]):
 //! stations sleep through all but every `period`-th slot, cutting the
 //! dominant listening cost, at the price of a slower election. This
 //! experiment maps the Pareto curve and confirms the jamming robustness

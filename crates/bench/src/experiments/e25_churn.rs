@@ -8,7 +8,7 @@
 //! station runs [`LeaseProtocol`]: the winner keeps a lease alive with
 //! periodic beacons, followers run missed-beacon loss detection, and on
 //! lease loss the cohort re-enters election (each station's inner
-//! election is a [`Supervisor`]-wrapped LESK, so E24's restart machinery
+//! election is a [`Supervisor`](jle_protocols::Supervisor)-wrapped LESK, so E24's restart machinery
 //! guards each attempt). A shared [`LeaderLedger`] plus
 //! [`SplitBrainObserver`] measures what the protocol cannot see: slot
 //! windows with two or more concurrent leadership believers, and how

@@ -8,7 +8,7 @@
 //! (power off), and optionally *rejoin* later — again with fresh state,
 //! because a departure loses memory exactly like a crash does.
 //!
-//! Churn deliberately does not grow a third station-set backend. A churn
+//! Churn deliberately does not grow another station-set backend. A churn
 //! schedule lowers onto the existing fault machinery via
 //! [`ChurnPlan::overlay`]:
 //!
@@ -19,12 +19,14 @@
 //! * **rejoin** at slot `r` ⇒ `recover_at = r` (the existing respawn path
 //!   rebuilds the protocol from the factory: fresh state).
 //!
-//! Both exact backends therefore support churn unchanged: the legacy
-//! [`crate::FaultyStations`] path and the fast backend's
-//! [`crate::FaultyStation`] wake-hint path, where joins and rejoins fold
-//! into the bucketed wake calendar so sleep-heavy churn runs stay fast.
-//! An empty plan lowers to an empty [`FaultPlan`], which is proven
-//! bit-identical to a pristine run on both engines.
+//! All three per-station backends therefore support churn unchanged,
+//! through the one [`crate::FaultyStations`] overlay: the exact backend,
+//! the fast backend — where [`crate::FaultyStation`]'s wake hints fold
+//! joins and rejoins into the bucketed wake calendar so sleep-heavy churn
+//! runs stay fast — and the batch backend's merged calendar. An empty
+//! plan lowers to an empty [`FaultPlan`], which is proven bit-identical
+//! to a pristine run on the exact and fast backends; batch trials carry
+//! the fast backend's bits.
 //!
 //! `SimConfig::n` counts every station that is ever present; a joiner
 //! occupies its station index from slot 0 but is indistinguishable from a
@@ -34,6 +36,7 @@ use crate::config::SimConfig;
 use crate::faults::{FaultPlan, StationFaults};
 use crate::protocol::Protocol;
 use crate::report::RunReport;
+use crate::streams::mix64;
 use jle_adversary::AdversarySpec;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use serde::{value::Error, Deserialize, Serialize, Value};
@@ -96,14 +99,6 @@ impl StationChurn {
             _ => true,
         }
     }
-}
-
-/// SplitMix64 finalizer: decorrelates nearby seeds (same scheme as the
-/// fault-plan generators, different stream tags).
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Stream tags for the seed-driven generators: disjoint from the
@@ -189,7 +184,8 @@ impl ChurnPlan {
     }
 
     /// An empty plan (seed 0). Running with it is bit-identical to a
-    /// pristine run on both exact backends.
+    /// pristine run on all three per-station backends (exact, fast-exact,
+    /// batch).
     pub fn empty() -> Self {
         Self::new(0)
     }
@@ -220,7 +216,7 @@ impl ChurnPlan {
     }
 
     fn tag_rng(&self, tag: u64) -> SmallRng {
-        SmallRng::seed_from_u64(mix(self.seed ^ mix(tag)))
+        SmallRng::seed_from_u64(mix64(self.seed ^ mix64(tag)))
     }
 
     /// Builder: each of the `n` stations independently is a *late joiner*
@@ -291,7 +287,7 @@ impl ChurnPlan {
     }
 
     /// Lower this churn schedule onto `base`, yielding the fault plan
-    /// that both exact backends already know how to run: join ⇒ `wake_at`
+    /// that every per-station backend already knows how to run: join ⇒ `wake_at`
     /// (kept no earlier than the base's wake), leave ⇒ `crash_at`, rejoin
     /// ⇒ `recover_at`. Where a churn entry schedules a departure it takes
     /// precedence over the base entry's crash schedule (the two encode

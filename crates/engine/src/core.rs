@@ -1,21 +1,25 @@
-//! The composable simulation core: **one** slot loop for every engine.
+//! The composable simulation core: **one** slot protocol for every loop.
 //!
-//! Historically the exact, cohort, and faulty engines each hand-rolled the
-//! same slot loop (adversary commit → action sampling → noise → resolution
-//! → bookkeeping → stop rules) with visible drift between the copies. The
-//! core inverts that: [`SimCore`] owns the loop once, and everything that
-//! varies between engines lives behind two small interfaces:
+//! The per-slot information order the paper's bounds rest on — the
+//! adversary commits, the budget clamps, the stations draw, the outcome
+//! reaches the stations through the CD model — is written here once, as
+//! the steps of a private `Lane` (one run's jammer, budget, streams,
+//! history, and report). Two drivers play those steps:
 //!
-//! * [`StationSet`] answers the per-slot station-side questions — who
-//!   transmits, who listens, who is the lone transmitter, what feedback
-//!   the stations receive, when the run stops, and how the final report
-//!   fields are computed. `exact::ExactStations`,
-//!   `cohort::CohortStations`, and `faults::FaultyStations` are the three
-//!   backends; a multi-hop backend would be a fourth implementation, not a
-//!   fourth loop.
-//! * [`crate::observer::SlotObserver`] is opt-in per-slot instrumentation
-//!   (trace recording, energy accounting, live throughput) layered on the
-//!   loop without touching it.
+//! * [`SimCore::run`] drives one lane through any [`StationSet`], the
+//!   per-slot station-side questions — who transmits, who listens, who
+//!   is the lone transmitter, what feedback the stations receive, when
+//!   the run stops, and how the final report fields are computed. The
+//!   exact, fast-exact, cohort, multihop, and fault-overlay backends are
+//!   implementations, not loops.
+//! * The lockstep entry beside it drives K lanes — K trials of one
+//!   experiment — through a private lane-stations trait whose action and
+//!   feedback phases cover every live trial at once; `crate::batch`'s
+//!   structure-of-arrays backends implement it.
+//!
+//! [`crate::observer::SlotObserver`] is opt-in per-slot instrumentation
+//! (trace recording, energy accounting, live throughput) layered on the
+//! single-lane loop without touching it.
 //!
 //! # The RNG draw-order contract
 //!
@@ -31,10 +35,14 @@
 //! 4. **station stream**: the backend's winner draw on the first clean
 //!    `Single` (cohort draws `gen_range(0..n)`; exact draws nothing).
 //!
+//! Counter-based backends (fast-exact, batch, multihop `Counter`) draw
+//! their actions from per-station streams instead, so on their runs the
+//! station stream carries the noise draws only.
+//!
 //! Budget updates, history pushes, observer calls, and feedback delivery
 //! consume no randomness and may not be reordered around the draws above.
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, StopRule};
 use crate::observer::{EnergyObserver, SlotObserver, StateProbe, TraceObserver};
 use crate::protocol::Protocol;
 use crate::report::RunReport;
@@ -60,8 +68,8 @@ pub(crate) fn trace_capacity(config: &SimConfig) -> usize {
 /// Replaces the historical pair of `Vec<bool>` buffers: clearing is one
 /// `memset` over `⌈n/32⌉` words per slot ([`SlotFlags::begin_slot`])
 /// instead of two O(n) byte fills, and both flags for a station land on
-/// the same cache line. Shared by [`crate::ExactStations`] (and therefore
-/// [`crate::FaultyStations`], which delegates to it) and reusable across
+/// the same cache line. Used by [`crate::ExactStations`] (and therefore
+/// by the [`crate::FaultyStations`] overlay on it) and reusable across
 /// runs through [`SimArena`].
 #[derive(Debug, Clone, Default)]
 pub struct SlotFlags {
@@ -147,13 +155,39 @@ pub struct SlotActions {
     pub lone_transmitter: Option<u64>,
 }
 
+impl SlotActions {
+    /// Count transmitter `id`; the lone-transmitter identity survives
+    /// only while it is the slot's single transmitter.
+    #[inline]
+    pub(crate) fn transmit(&mut self, id: u64) {
+        self.transmitters += 1;
+        self.lone_transmitter = if self.transmitters == 1 { Some(id) } else { None };
+    }
+
+    /// Fold per-chunk aggregates in chunk order (deterministic): totals
+    /// add up, and the lone transmitter exists only when exactly one
+    /// chunk saw exactly one.
+    pub(crate) fn fold(parts: &[SlotActions]) -> SlotActions {
+        let transmitters = parts.iter().map(|p| p.transmitters).sum();
+        SlotActions {
+            transmitters,
+            listeners: parts.iter().map(|p| p.listeners).sum(),
+            lone_transmitter: if transmitters == 1 {
+                parts.iter().find_map(|p| p.lone_transmitter)
+            } else {
+                None
+            },
+        }
+    }
+}
+
 /// The station side of the simulation: everything that differs between
-/// the exact, cohort, and faulty engines.
+/// the single-lane backends.
 ///
 /// [`SimCore::run`] calls these hooks in a fixed per-slot order — see the
 /// module docs for the draw-order contract each implementation must
-/// respect. To add a fourth backend, implement this trait; do **not**
-/// write another slot loop.
+/// respect. To add a backend, implement this trait; do **not** write
+/// another slot loop.
 pub trait StationSet {
     /// Whether the protocol has finished without a resolution (checked at
     /// the top of every slot; a `true` ends the run before the slot is
@@ -274,8 +308,18 @@ enum Jammer {
 }
 
 impl Jammer {
+    /// The paper's adversary for the run seeded `seed`.
+    fn commit_first(adversary: &AdversarySpec, seed: u64) -> Self {
+        Jammer::CommitFirst {
+            strategy: adversary.strategy(),
+            budget: adversary.budget(),
+            adv_rng: SmallRng::seed_from_u64(seed ^ ADV_SEED_XOR),
+        }
+    }
+
     /// The pre-action decision (commit-first strategies draw their
     /// randomness here; the oracle abstains).
+    #[inline]
     fn pre_decide(&mut self, history: &ChannelHistory) -> bool {
         match self {
             Jammer::CommitFirst { strategy, budget, adv_rng } => {
@@ -288,6 +332,7 @@ impl Jammer {
     /// Clamp the request against the budget and advance the window. The
     /// oracle makes its (cheating) decision here, transmitter count in
     /// hand. Consumes no randomness.
+    #[inline]
     fn commit(&mut self, want: bool, transmitters: u64) -> bool {
         let (budget, request) = match self {
             Jammer::CommitFirst { budget, .. } => (budget, want),
@@ -307,6 +352,159 @@ impl Jammer {
             Jammer::CommitFirst { budget, .. } | Jammer::Oracle { budget } => budget,
         }
     }
+}
+
+/// One run's side of the slot protocol: the jammer with its budget, the
+/// station/noise stream, the channel history, and the accumulating
+/// report, energy, and trace. [`SimCore::run`] drives one lane; the
+/// lockstep driver ([`run_lockstep`]) drives one per trial. The methods
+/// are the slot steps in their normative order — [`Lane::decide`], then
+/// the stations act, then [`Lane::commit`], then feedback, then
+/// [`Lane::end_slot`] — so the draw-order contract in the module docs is
+/// written here once.
+struct Lane {
+    jammer: Jammer,
+    /// Station stream (seed `seed`): the backend's sequential action
+    /// draws, the noise Bernoulli, and the winner draw.
+    rng: SmallRng,
+    history: ChannelHistory,
+    report: RunReport,
+    energy: EnergyObserver,
+    trace: Option<TraceObserver>,
+}
+
+impl Lane {
+    /// A fresh lane for the run seeded `seed`, recycling the history ring
+    /// and trace storage held by `arena`, if any.
+    fn new(
+        config: &SimConfig,
+        jammer: Jammer,
+        t_window: u64,
+        seed: u64,
+        mut arena: Option<&mut SimArena>,
+    ) -> Self {
+        let retention = config.effective_retention(t_window);
+        let history = match arena.as_mut().and_then(|a| a.history.take()) {
+            Some(mut h) => {
+                h.reset(retention);
+                h
+            }
+            None => ChannelHistory::new(retention),
+        };
+        let trace = config.record_trace.then(|| {
+            TraceObserver::new(match arena.as_mut().and_then(|a| a.trace.take()) {
+                Some(mut t) => {
+                    t.reset();
+                    t
+                }
+                None => Trace::with_capacity(trace_capacity(config)),
+            })
+        });
+        Lane {
+            jammer,
+            rng: SmallRng::seed_from_u64(seed),
+            history,
+            report: RunReport::default(),
+            energy: EnergyObserver::default(),
+            trace,
+        }
+    }
+
+    /// Step 1: the commit-first adversary decides before any action draw.
+    #[inline]
+    fn decide(&mut self) -> bool {
+        self.jammer.pre_decide(&self.history)
+    }
+
+    /// Steps 3–5, after the stations acted: budget clamp (the oracle
+    /// decides here), the noise draw, the ground truth, energy and trace
+    /// accounting, and — on the first clean `Single` — resolution, where
+    /// `winner` names the winner (the cohort backend draws it from the
+    /// station stream it is handed).
+    #[inline]
+    fn commit(
+        &mut self,
+        config: &SimConfig,
+        slot: u64,
+        want: bool,
+        actions: &SlotActions,
+        estimate: Option<f64>,
+        winner: impl FnOnce(&mut SmallRng) -> Option<u64>,
+    ) -> SlotTruth {
+        let jam = self.jammer.commit(want, actions.transmitters);
+        let noisy = config.noise_prob > 0.0 && self.rng.gen_bool(config.noise_prob);
+        if noisy {
+            self.report.noise_slots += 1;
+        }
+        let truth = SlotTruth::new(actions.transmitters, jam || noisy);
+        self.energy.on_slot(slot, &truth, actions, estimate);
+        if let Some(t) = self.trace.as_mut() {
+            t.on_slot(slot, &truth, actions, estimate);
+        }
+        if truth.is_clean_single() && self.report.resolved_at.is_none() {
+            self.report.resolved_at = Some(slot);
+            self.report.winner = winner(&mut self.rng);
+        }
+        truth
+    }
+
+    /// Step 6, after feedback: history and slot count.
+    #[inline]
+    fn end_slot(&mut self, slot: u64, truth: &SlotTruth) {
+        self.history.push(truth);
+        self.report.slots = slot + 1;
+    }
+
+    /// Post-loop report assembly (channel counts, budget, energy, trace);
+    /// hands the history ring back to `arena`.
+    fn finish(mut self, arena: Option<&mut SimArena>) -> RunReport {
+        self.report.counts = self.history.counts();
+        self.report.adv_budget_spent = self.jammer.budget().spent_fraction();
+        self.energy.finish(&mut self.report);
+        if let Some(mut t) = self.trace {
+            t.finish(&mut self.report);
+        }
+        if let Some(arena) = arena {
+            arena.history = Some(self.history);
+        }
+        self.report
+    }
+}
+
+/// The per-station stop rules, checked after every slot's bookkeeping.
+/// `all_terminal` is asked only under [`StopRule::AllTerminated`], whose
+/// firing is recorded as [`RunReport::all_terminated`]. Shared by every
+/// per-station backend; the cohort backend keeps its own rule
+/// (`continue_past_singles`).
+#[inline]
+pub(crate) fn stop_rule_fires(
+    config: &SimConfig,
+    report: &mut RunReport,
+    all_terminal: impl FnOnce() -> bool,
+) -> bool {
+    match config.stop {
+        StopRule::FirstCleanSingle => report.resolved_at.is_some(),
+        StopRule::AllTerminated => {
+            report.all_terminated = all_terminal();
+            report.all_terminated
+        }
+        StopRule::Horizon => false,
+    }
+}
+
+/// The per-station backends' post-run `timed_out`/`cap_hit` verdict;
+/// `finished` is the set's [`StationSet::finished`].
+pub(crate) fn settle_timeout(
+    config: &SimConfig,
+    report: &mut RunReport,
+    finished: impl FnOnce() -> bool,
+) {
+    report.timed_out = match config.stop {
+        StopRule::FirstCleanSingle => report.resolved_at.is_none() && !finished(),
+        StopRule::AllTerminated => !report.all_terminated,
+        StopRule::Horizon => false,
+    };
+    report.cap_hit = report.timed_out && report.slots == config.max_slots;
 }
 
 /// The unified slot loop, configured and ready to drive any
@@ -343,11 +541,7 @@ impl<'a> SimCore<'a> {
     pub fn new(config: &'a SimConfig, adversary: &AdversarySpec) -> Self {
         SimCore {
             config,
-            jammer: Jammer::CommitFirst {
-                strategy: adversary.strategy(),
-                budget: adversary.budget(),
-                adv_rng: SmallRng::seed_from_u64(config.seed ^ ADV_SEED_XOR),
-            },
+            jammer: Jammer::commit_first(adversary, config.seed),
             t_window: adversary.t_window,
             arena: None,
             observers: Vec::new(),
@@ -383,74 +577,35 @@ impl<'a> SimCore<'a> {
 
     /// Drive `stations` through the slot loop and produce the report.
     ///
-    /// This is the only slot loop in the crate; every public `run_*`
-    /// entry point is a thin shim over it.
+    /// Every public `run_*` entry point is a thin shim over this loop or,
+    /// for batches, over the lockstep driver that plays the same lane
+    /// steps for K trials at once.
     pub fn run<S: StationSet>(mut self, stations: &mut S) -> RunReport {
         let config = self.config;
         assert!(config.n >= 1, "need at least one station");
-        let mut rng = SmallRng::seed_from_u64(config.seed);
-        let retention = config.effective_retention(self.t_window);
-        let mut history = match self.arena.as_mut().and_then(|a| a.history.take()) {
-            Some(mut h) => {
-                h.reset(retention);
-                h
-            }
-            None => ChannelHistory::new(retention),
-        };
-        let mut energy = EnergyObserver::default();
-        let mut trace_obs = if config.record_trace {
-            let trace = match self.arena.as_mut().and_then(|a| a.trace.take()) {
-                Some(mut t) => {
-                    t.reset();
-                    t
-                }
-                None => Trace::with_capacity(trace_capacity(config)),
-            };
-            Some(TraceObserver::new(trace))
-        } else {
-            None
-        };
+        let mut lane =
+            Lane::new(config, self.jammer, self.t_window, config.seed, self.arena.as_deref_mut());
         let wants_estimate =
-            trace_obs.is_some() || self.observers.iter().any(|o| o.wants_estimate());
+            lane.trace.is_some() || self.observers.iter().any(|o| o.wants_estimate());
         let wants_probes = self.observers.iter().any(|o| o.wants_probes());
         let mut probes: Vec<StateProbe> = Vec::new();
-        let mut report = RunReport::default();
 
         for slot in 0..config.max_slots {
             if stations.finished() {
                 break;
             }
-            // 1. Commit-first adversaries decide before any action draw.
-            let want = self.jammer.pre_decide(&history);
-
-            // 2. Stations act (station-stream draws, index order).
-            let actions = stations.act(slot, config, &mut rng);
-
-            // 3. Budget clamp (oracle decides here), then the noise draw.
-            let jam = self.jammer.commit(want, actions.transmitters);
-            let noisy = config.noise_prob > 0.0 && rng.gen_bool(config.noise_prob);
-            if noisy {
-                report.noise_slots += 1;
-            }
-            let truth = SlotTruth::new(actions.transmitters, jam || noisy);
-
-            // 4. Observers (energy, trace, external layers).
+            let want = lane.decide();
+            // Stations act (station-stream draws, index order).
+            let actions = stations.act(slot, config, &mut lane.rng);
             let estimate = if wants_estimate { stations.estimate() } else { None };
-            energy.on_slot(slot, &truth, &actions, estimate);
-            if let Some(t) = trace_obs.as_mut() {
-                t.on_slot(slot, &truth, &actions, estimate);
-            }
+            let truth = lane.commit(config, slot, want, &actions, estimate, |rng| {
+                stations.pick_winner(&actions, config, rng)
+            });
             for obs in self.observers.iter_mut() {
                 obs.on_slot(slot, &truth, &actions, estimate);
             }
 
-            // 5. Resolution: the first clean Single selects the winner.
-            if truth.is_clean_single() && report.resolved_at.is_none() {
-                report.resolved_at = Some(slot);
-                report.winner = stations.pick_winner(&actions, config, &mut rng);
-            }
-
-            // 6. Feedback, bookkeeping, stop rules. Probes sample the
+            // Feedback, then bookkeeping and stop rules. Probes sample the
             // *post-feedback* state (consuming no randomness), so a
             // timeline shows the transition each slot caused.
             stations.feedback(slot, &truth, config);
@@ -463,19 +618,13 @@ impl<'a> SimCore<'a> {
                     }
                 }
             }
-            history.push(&truth);
-            report.slots = slot + 1;
-            if stations.should_stop(&truth, config, &mut report) {
+            lane.end_slot(slot, &truth);
+            if stations.should_stop(&truth, config, &mut lane.report) {
                 break;
             }
         }
 
-        report.counts = history.counts();
-        report.adv_budget_spent = self.jammer.budget().spent_fraction();
-        energy.finish(&mut report);
-        if let Some(mut t) = trace_obs {
-            t.finish(&mut report);
-        }
+        let mut report = lane.finish(self.arena);
         for obs in self.observers.iter_mut() {
             obs.finish(&mut report);
         }
@@ -485,9 +634,141 @@ impl<'a> SimCore<'a> {
         for obs in self.observers.iter_mut() {
             obs.after_run(&report);
         }
-        if let Some(arena) = self.arena {
-            arena.history = Some(history);
-        }
         report
     }
+}
+
+/// The station side of a lockstep batch: K trials of one experiment whose
+/// stations act and hear feedback together, one trial per [`Lane`].
+/// Trials are indexed `0..K`; `live` masks carry one bit per trial (64
+/// per word) and name the trials still playing. Implementations draw only
+/// from coordinate-pure [`crate::streams`], so one trial's retirement
+/// cannot shift another's randomness.
+pub(crate) trait LaneStations {
+    /// [`StationSet::finished`] for trial `t`.
+    fn finished(&self, t: usize) -> bool;
+
+    /// Whether every station of trial `t` has terminated.
+    fn all_terminal(&self, t: usize) -> bool;
+
+    /// Play the action phase of `slot` for every live trial, accumulating
+    /// trial `t`'s aggregate into `actions[t]` (zeroed by the driver).
+    fn act(&mut self, slot: u64, live: &[u64], actions: &mut [SlotActions]);
+
+    /// [`StationSet::estimate`] for trial `t`, after its action phase.
+    fn estimate(&self, t: usize) -> Option<f64>;
+
+    /// Deliver every live trial's end-of-slot feedback.
+    fn feedback(
+        &mut self,
+        slot: u64,
+        config: &SimConfig,
+        live: &[u64],
+        actions: &[SlotActions],
+        truths: &[SlotTruth],
+    );
+
+    /// Trial `t`'s `Leader` stations in id order, after the run.
+    fn leaders(&self, t: usize) -> Vec<u64>;
+}
+
+/// The set bits of `word`, ascending.
+#[inline]
+pub(crate) fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
+}
+
+/// A mask with bits `0..k` set.
+pub(crate) fn full_mask(k: usize) -> Vec<u64> {
+    let mut mask = vec![u64::MAX; k.div_ceil(64)];
+    if let Some(last) = mask.last_mut().filter(|_| !k.is_multiple_of(64)) {
+        *last = (1u64 << (k % 64)) - 1;
+    }
+    mask
+}
+
+/// The trials set in `mask`, ascending.
+fn trials(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| bits(word).map(move |b| (w << 6) | b))
+}
+
+/// Clear every trial of `mask` for which `keep` says no.
+fn retain(mask: &mut [u64], mut keep: impl FnMut(usize) -> bool) {
+    for (w, word) in mask.iter_mut().enumerate() {
+        for b in bits(*word) {
+            if !keep((w << 6) | b) {
+                *word &= !(1u64 << b);
+            }
+        }
+    }
+}
+
+/// The lockstep entry: drive one [`Lane`] per seed through the same slot
+/// steps as [`SimCore::run`], with `stations` acting for all live trials
+/// at once. A trial retires (leaves the live mask) when its stations all
+/// finish or a stop rule fires; the winner of a resolving slot is its
+/// lone transmitter. Returns the reports in seed order — trial `t`'s
+/// equals a solo run with `seeds[t]` whose backend follows the same
+/// per-station semantics.
+pub(crate) fn run_lockstep<S: LaneStations>(
+    config: &SimConfig,
+    adversary: &AdversarySpec,
+    seeds: &[u64],
+    stations: &mut S,
+) -> Vec<RunReport> {
+    assert!(config.n >= 1, "need at least one station");
+    let k = seeds.len();
+    let mut lanes: Vec<Lane> = seeds
+        .iter()
+        .map(|&seed| {
+            let jammer = Jammer::commit_first(adversary, seed);
+            Lane::new(config, jammer, adversary.t_window, seed, None)
+        })
+        .collect();
+    let mut live = full_mask(k);
+    let mut wants = vec![false; k];
+    let mut actions = vec![SlotActions::default(); k];
+    let mut truths = vec![SlotTruth::IDLE; k];
+
+    for slot in 0..config.max_slots {
+        // `SimCore::run`'s top-of-slot check: finished trials retire
+        // before the slot is played.
+        retain(&mut live, |t| !stations.finished(t));
+        if live.iter().all(|&w| w == 0) {
+            break;
+        }
+        for t in trials(&live) {
+            wants[t] = lanes[t].decide();
+            actions[t] = SlotActions::default();
+        }
+        stations.act(slot, &live, &mut actions);
+        for t in trials(&live) {
+            let estimate = if lanes[t].trace.is_some() { stations.estimate(t) } else { None };
+            let lone = actions[t].lone_transmitter;
+            truths[t] = lanes[t].commit(config, slot, wants[t], &actions[t], estimate, |_| lone);
+        }
+        stations.feedback(slot, config, &live, &actions, &truths);
+        retain(&mut live, |t| {
+            let lane = &mut lanes[t];
+            lane.end_slot(slot, &truths[t]);
+            !stop_rule_fires(config, &mut lane.report, || stations.all_terminal(t))
+        });
+    }
+
+    lanes
+        .into_iter()
+        .enumerate()
+        .map(|(t, lane)| {
+            let mut report = lane.finish(None);
+            settle_timeout(config, &mut report, || stations.finished(t));
+            report.leaders = stations.leaders(t);
+            report
+        })
+        .collect()
 }

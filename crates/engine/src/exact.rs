@@ -11,8 +11,10 @@
 //! [`ExactStations`] supplies the per-station action/feedback semantics
 //! and [`run_exact`] / [`run_exact_in`] are thin shims.
 
-use crate::config::{SimConfig, StopRule};
-use crate::core::{SimArena, SimCore, SlotActions, SlotFlags, StationSet};
+use crate::config::SimConfig;
+use crate::core::{
+    settle_timeout, stop_rule_fires, SimArena, SimCore, SlotActions, SlotFlags, StationSet,
+};
 use crate::observer::StateProbe;
 use crate::protocol::{Action, Protocol, Status};
 use crate::report::RunReport;
@@ -108,9 +110,7 @@ impl StationSet for ExactStations {
             match st.act(slot, rng) {
                 Action::Transmit => {
                     self.flags.set_transmitted(i);
-                    actions.transmitters += 1;
-                    actions.lone_transmitter =
-                        if actions.transmitters == 1 { Some(i as u64) } else { None };
+                    actions.transmit(i as u64);
                 }
                 Action::Listen => actions.listeners += 1,
                 Action::Sleep => self.flags.set_asleep(i),
@@ -159,27 +159,11 @@ impl StationSet for ExactStations {
         config: &SimConfig,
         report: &mut RunReport,
     ) -> bool {
-        match config.stop {
-            StopRule::FirstCleanSingle => report.resolved_at.is_some(),
-            StopRule::AllTerminated => {
-                if self.stations.iter().all(|s| s.status().terminal()) {
-                    report.all_terminated = true;
-                    true
-                } else {
-                    false
-                }
-            }
-            StopRule::Horizon => false,
-        }
+        stop_rule_fires(config, report, || self.stations.iter().all(|s| s.status().terminal()))
     }
 
     fn finalize(&mut self, config: &SimConfig, report: &mut RunReport) {
-        report.timed_out = match config.stop {
-            StopRule::FirstCleanSingle => report.resolved_at.is_none() && !self.finished(),
-            StopRule::AllTerminated => !report.all_terminated,
-            StopRule::Horizon => false,
-        };
-        report.cap_hit = report.timed_out && report.slots == config.max_slots;
+        settle_timeout(config, report, || self.finished());
         report.leaders = self
             .stations
             .iter()
@@ -221,6 +205,7 @@ pub fn run_exact_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StopRule;
     use crate::protocol::{PerStation, UniformProtocol};
     use jle_adversary::{JamStrategyKind, Rate};
     use jle_radio::{CdModel, ChannelState};

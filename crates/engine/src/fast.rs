@@ -14,7 +14,7 @@
 //!   threads — cannot perturb anyone else's randomness.
 //! * **Active-set loop**: stations live in a packed *awake prefix* of the
 //!   station vector. A station whose `act` returns
-//!   [`Action::Sleep`](crate::Action::Sleep) is parked in a bucketed wake
+//!   [`Action::Sleep`] is parked in a bucketed wake
 //!   calendar keyed by [`Protocol::wake_hint`] and revisited only at its
 //!   declared wake slot; terminated stations leave the loop entirely. A
 //!   slot costs O(awake), so a duty-cycled million-station network pays
@@ -32,9 +32,9 @@
 //! fixtures, and `crates/protocols/tests/cross_engine.rs` holds the
 //! KS/chi-square cross-backend equivalence suite. See `DESIGN.md` §12.
 
-use crate::config::{SimConfig, StopRule};
-use crate::core::{SimArena, SimCore, SlotActions, StationSet};
-use crate::faults::{FaultPlan, FaultyStation};
+use crate::config::SimConfig;
+use crate::core::{settle_timeout, stop_rule_fires, SimArena, SimCore, SlotActions, StationSet};
+use crate::faults::{FaultPlan, FaultyStations};
 use crate::observer::StateProbe;
 use crate::protocol::{Action, Protocol, Status};
 use crate::report::RunReport;
@@ -43,7 +43,6 @@ use jle_adversary::AdversarySpec;
 use jle_radio::{cd, SlotTruth};
 use rand::rngs::SmallRng;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Per-slot action of a prefix position, recorded for the feedback phase.
 const ACT_LISTEN: u8 = 0;
@@ -121,39 +120,74 @@ impl WakeQueue {
     }
 }
 
-/// What one action-phase chunk did, folded deterministically in chunk
-/// order afterwards.
-#[derive(Debug, Clone, Copy, Default)]
-struct ChunkAgg {
-    tx: u64,
-    listen: u64,
-    /// `Some(id)` iff this chunk saw exactly one transmitter.
-    lone: Option<u64>,
+/// The incremental stop-condition counters of a station set whose
+/// terminated stations leave the loop: the fast backend keeps one, the
+/// batch backends one per trial.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Census {
+    /// Non-terminal stations (awake or parked).
+    pub(crate) active: u64,
+    /// Non-terminal stations currently reporting `finished()`.
+    pub(crate) finished_active: u64,
+    /// All stations (terminal included) reporting `finished()`.
+    pub(crate) finished_total: u64,
+}
+
+impl Census {
+    /// `n` non-terminal stations, none finished.
+    pub(crate) fn new(n: u64) -> Self {
+        Census { active: n, finished_active: 0, finished_total: 0 }
+    }
+
+    /// Incremental form of the legacy predicate `any(finished) &&
+    /// all(terminal || finished)`: some station (terminal or not)
+    /// finished, and every non-terminal station has.
+    pub(crate) fn finished(&self) -> bool {
+        self.finished_total > 0 && self.finished_active == self.active
+    }
+
+    /// A non-terminal station's `finished()` flipped to `now`.
+    pub(crate) fn flip(&mut self, now: bool) {
+        if now {
+            self.finished_total += 1;
+            self.finished_active += 1;
+        } else {
+            self.finished_total -= 1;
+            self.finished_active -= 1;
+        }
+    }
+
+    /// A station terminated; `finished` is its (counted) `finished()`.
+    pub(crate) fn terminate(&mut self, finished: bool) {
+        self.active -= 1;
+        if finished {
+            self.finished_active -= 1;
+        }
+    }
 }
 
 /// Drive one chunk of awake stations through the action phase. Each
 /// station draws from its own counter-based stream, so chunks are
 /// mutually independent and the result does not depend on which thread
-/// (or in which order) chunks run.
+/// (or in which order) chunks run; [`SlotActions::fold`] merges them.
 fn run_chunk(
     stations: &mut [Box<dyn Protocol>],
     acts: &mut [u8],
     ids: &[u32],
     keys: &[u64],
     slot: u64,
-) -> ChunkAgg {
-    let mut agg = ChunkAgg::default();
+) -> SlotActions {
+    let mut agg = SlotActions::default();
     for ((st, a), &id) in stations.iter_mut().zip(acts.iter_mut()).zip(ids.iter()) {
         let mut rng = StationRng::for_slot(keys[id as usize], slot);
         match st.act(slot, &mut rng) {
             Action::Transmit => {
                 *a = ACT_TRANSMIT;
-                agg.tx += 1;
-                agg.lone = if agg.tx == 1 { Some(id as u64) } else { None };
+                agg.transmit(id as u64);
             }
             Action::Listen => {
                 *a = ACT_LISTEN;
-                agg.listen += 1;
+                agg.listeners += 1;
             }
             Action::Sleep => *a = ACT_SLEEP,
         }
@@ -178,12 +212,7 @@ pub struct FastExactStations {
     finished: Vec<bool>,
     queue: WakeQueue,
     awake_len: usize,
-    /// Non-terminal stations (awake or parked).
-    active: u64,
-    /// Non-terminal stations currently reporting `finished()`.
-    finished_active: u64,
-    /// All stations (terminal included) reporting `finished()`.
-    finished_total: u64,
+    census: Census,
     par_threshold: usize,
 }
 
@@ -250,9 +279,7 @@ impl FastExactStations {
             finished,
             queue,
             awake_len: n,
-            active: n as u64,
-            finished_active: 0,
-            finished_total: 0,
+            census: Census::new(n as u64),
             par_threshold: Self::DEFAULT_PAR_THRESHOLD,
         };
         // Fold in construction-time state: already-terminal stations never
@@ -263,14 +290,10 @@ impl FastExactStations {
             let id = set.ids[p] as usize;
             if set.stations[p].finished() {
                 set.finished[id] = true;
-                set.finished_total += 1;
-                set.finished_active += 1;
+                set.census.flip(true);
             }
             if set.stations[p].status().terminal() {
-                set.active -= 1;
-                if set.finished[id] {
-                    set.finished_active -= 1;
-                }
+                set.census.terminate(set.finished[id]);
                 set.demote(p);
             }
         }
@@ -351,17 +374,14 @@ impl std::fmt::Debug for FastExactStations {
             .field("n", &self.stations.len())
             .field("awake", &self.awake_len)
             .field("parked", &self.queue.len())
-            .field("active", &self.active)
+            .field("active", &self.census.active)
             .finish_non_exhaustive()
     }
 }
 
 impl StationSet for FastExactStations {
     fn finished(&self) -> bool {
-        // Incremental form of the legacy predicate `any(finished) &&
-        // all(terminal || finished)`: some station (terminal or not)
-        // finished, and every non-terminal station has.
-        self.finished_total > 0 && self.finished_active == self.active
+        self.census.finished()
     }
 
     fn act(&mut self, slot: u64, _config: &SimConfig, _rng: &mut SmallRng) -> SlotActions {
@@ -374,15 +394,14 @@ impl StationSet for FastExactStations {
         self.queue = queue;
 
         let awake = self.awake_len;
-        let mut actions = SlotActions::default();
         if awake == 0 {
-            return actions;
+            return SlotActions::default();
         }
         let workers = rayon::current_num_threads().max(1);
         if awake >= self.par_threshold && workers > 1 {
             let chunk_len = awake.div_ceil(workers);
             let n_chunks = awake.div_ceil(chunk_len);
-            let mut partials = vec![ChunkAgg::default(); n_chunks];
+            let mut partials = vec![SlotActions::default(); n_chunks];
             {
                 let (mut st_rest, _) = self.stations.split_at_mut(awake);
                 let (mut act_rest, _) = self.acts.split_at_mut(awake);
@@ -403,29 +422,16 @@ impl StationSet for FastExactStations {
                     }
                 });
             }
-            // Deterministic reduction in chunk order.
-            for agg in &partials {
-                actions.transmitters += agg.tx;
-                actions.listeners += agg.listen;
-            }
-            actions.lone_transmitter = if actions.transmitters == 1 {
-                partials.iter().find_map(|agg| agg.lone)
-            } else {
-                None
-            };
+            SlotActions::fold(&partials)
         } else {
-            let agg = run_chunk(
+            run_chunk(
                 &mut self.stations[..awake],
                 &mut self.acts[..awake],
                 &self.ids[..awake],
                 &self.keys,
                 slot,
-            );
-            actions.transmitters = agg.tx;
-            actions.listeners = agg.listen;
-            actions.lone_transmitter = agg.lone;
+            )
         }
-        actions
     }
 
     fn pick_winner(
@@ -456,19 +462,10 @@ impl StationSet for FastExactStations {
             let f = self.stations[p].finished();
             if f != self.finished[id] {
                 self.finished[id] = f;
-                if f {
-                    self.finished_total += 1;
-                    self.finished_active += 1;
-                } else {
-                    self.finished_total -= 1;
-                    self.finished_active -= 1;
-                }
+                self.census.flip(f);
             }
             if self.stations[p].status().terminal() {
-                self.active -= 1;
-                if self.finished[id] {
-                    self.finished_active -= 1;
-                }
+                self.census.terminate(f);
                 self.demote(p);
             } else if self.acts[p] == ACT_SLEEP {
                 // `max(slot + 1)` hardens against hints in the past;
@@ -512,27 +509,11 @@ impl StationSet for FastExactStations {
         config: &SimConfig,
         report: &mut RunReport,
     ) -> bool {
-        match config.stop {
-            StopRule::FirstCleanSingle => report.resolved_at.is_some(),
-            StopRule::AllTerminated => {
-                if self.active == 0 {
-                    report.all_terminated = true;
-                    true
-                } else {
-                    false
-                }
-            }
-            StopRule::Horizon => false,
-        }
+        stop_rule_fires(config, report, || self.census.active == 0)
     }
 
     fn finalize(&mut self, config: &SimConfig, report: &mut RunReport) {
-        report.timed_out = match config.stop {
-            StopRule::FirstCleanSingle => report.resolved_at.is_none() && !self.finished(),
-            StopRule::AllTerminated => !report.all_terminated,
-            StopRule::Horizon => false,
-        };
-        report.cap_hit = report.timed_out && report.slots == config.max_slots;
+        settle_timeout(config, report, || self.census.finished());
         let mut leaders: Vec<u64> = self
             .stations
             .iter()
@@ -542,98 +523,6 @@ impl StationSet for FastExactStations {
             .collect();
         leaders.sort_unstable();
         report.leaders = leaders;
-    }
-}
-
-/// The fault-injecting twin of [`FastExactStations`]: planned stations
-/// are wrapped in [`FaultyStation`] (whose `wake_hint` folds crash
-/// windows and staggered wakeups into the active-set schedule) and the
-/// post-run degradation verdict comes from the [`FaultPlan`].
-pub struct FastFaultyStations<'p> {
-    inner: FastExactStations,
-    plan: &'p FaultPlan,
-}
-
-impl<'p> FastFaultyStations<'p> {
-    /// Build the station set; mirrors
-    /// [`FaultyStations::new`](crate::FaultyStations::new).
-    pub fn new<F>(config: &SimConfig, plan: &'p FaultPlan, factory: F) -> Self
-    where
-        F: Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static,
-    {
-        let factory = Arc::new(factory);
-        let inner = FastExactStations::new(config, |i| match plan.get(i) {
-            None => factory(i),
-            Some(f) => {
-                let fac = Arc::clone(&factory);
-                Box::new(FaultyStation::new(
-                    f.clone(),
-                    plan.station_seed(i),
-                    Box::new(move || fac(i)),
-                ))
-            }
-        });
-        FastFaultyStations { inner, plan }
-    }
-}
-
-impl std::fmt::Debug for FastFaultyStations<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FastFaultyStations").field("inner", &self.inner).finish_non_exhaustive()
-    }
-}
-
-impl StationSet for FastFaultyStations<'_> {
-    fn finished(&self) -> bool {
-        self.inner.finished()
-    }
-
-    fn act(&mut self, slot: u64, config: &SimConfig, rng: &mut SmallRng) -> SlotActions {
-        self.inner.act(slot, config, rng)
-    }
-
-    fn pick_winner(
-        &mut self,
-        actions: &SlotActions,
-        config: &SimConfig,
-        rng: &mut SmallRng,
-    ) -> Option<u64> {
-        self.inner.pick_winner(actions, config, rng)
-    }
-
-    fn feedback(&mut self, slot: u64, truth: &SlotTruth, config: &SimConfig) {
-        self.inner.feedback(slot, truth, config)
-    }
-
-    fn estimate(&self) -> Option<f64> {
-        self.inner.estimate()
-    }
-
-    fn collect_probes(&self, out: &mut Vec<StateProbe>) {
-        self.inner.collect_probes(out)
-    }
-
-    fn should_stop(
-        &mut self,
-        truth: &SlotTruth,
-        config: &SimConfig,
-        report: &mut RunReport,
-    ) -> bool {
-        self.inner.should_stop(truth, config, report)
-    }
-
-    fn finalize(&mut self, config: &SimConfig, report: &mut RunReport) {
-        self.inner.finalize(config, report);
-        if report.leaders.len() <= 1 {
-            if let Some(w) = report.leaders.first().copied().or(report.winner) {
-                // Same full-horizon judgement as the legacy faulty
-                // backend: crash schedules are wall-clock.
-                let horizon = config.max_slots.max(report.slots);
-                if self.plan.leader_crashed(w, horizon) {
-                    report.leader_crashed = true;
-                }
-            }
-        }
     }
 }
 
@@ -675,13 +564,15 @@ pub fn run_fast_exact_faulty<F>(
 where
     F: Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static,
 {
-    let mut stations = FastFaultyStations::new(config, plan, factory);
+    let mut stations =
+        FaultyStations::with_base(plan, factory, |f| FastExactStations::new(config, f));
     SimCore::new(config, adversary).run(&mut stations)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StopRule;
     use crate::exact::{run_exact, run_exact_in};
     use crate::faults::{run_exact_faulty, StationFaults};
     use crate::protocol::{PerStation, UniformProtocol};

@@ -19,10 +19,14 @@
 //!   only on a heard `Single`) is preserved by construction.
 //!
 //! The injection points are [`FaultyStation`], an adapter wrapping any
-//! [`Protocol`], and [`FaultyStations`], the [`StationSet`] backend that
-//! wraps the whole station set (delegating the slot semantics to
-//! [`ExactStations`]) and fills the report's degradation fields;
-//! [`run_exact_faulty`] is the thin shim over [`crate::core::SimCore`].
+//! [`Protocol`], and [`FaultyStations`], the overlay on any base
+//! [`StationSet`] (the exact backend by default, the fast-exact one via
+//! [`FaultyStations::with_base`]) that fills the report's degradation
+//! fields. The [`FaultPlan`] owns both halves of the overlay — the station
+//! factory wrapper (`FaultPlan::station_factory`) and the leader-crash
+//! verdict (`FaultPlan::judge_leader`) — which the batch backend's faulty
+//! path reuses; [`run_exact_faulty`] is the thin shim over
+//! [`crate::core::SimCore`].
 //! Fault randomness comes from a dedicated per-station RNG derived from
 //! the [`FaultPlan`] seed, so an empty plan leaves the engine's random
 //! stream — and therefore the whole run — bit-for-bit identical to a
@@ -34,6 +38,7 @@ use crate::exact::ExactStations;
 use crate::observer::StateProbe;
 use crate::protocol::{Action, Protocol, Status};
 use crate::report::RunReport;
+use crate::streams::mix64;
 use jle_adversary::AdversarySpec;
 use jle_radio::{cd::Observation, ChannelState, SlotTruth};
 use rand::{rngs::SmallRng, Rng, RngCore, SeedableRng};
@@ -149,13 +154,6 @@ impl StationFaults {
             _ => false,
         }
     }
-}
-
-/// SplitMix64 finalizer: decorrelates nearby seeds.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Stream tags for the seed-driven plan generators, so composed
@@ -276,12 +274,12 @@ impl FaultPlan {
     }
 
     fn tag_rng(&self, tag: u64) -> SmallRng {
-        SmallRng::seed_from_u64(mix(self.seed ^ mix(tag)))
+        SmallRng::seed_from_u64(mix64(self.seed ^ mix64(tag)))
     }
 
     /// The seed of station `i`'s private fault RNG (sensing flips).
     pub fn station_seed(&self, i: u64) -> u64 {
-        mix(self.seed ^ mix(i.wrapping_add(1)))
+        mix64(self.seed ^ mix64(i.wrapping_add(1)))
     }
 
     /// Builder: each of the `n` stations independently crashes with
@@ -363,6 +361,45 @@ impl FaultPlan {
     /// crashed at the end of a run of `end_slots` slots.
     pub fn leader_crashed(&self, leader: u64, end_slots: u64) -> bool {
         self.get(leader).is_some_and(|f| f.crashed_at_end(end_slots))
+    }
+
+    /// The fault overlay's station factory: stations without a plan entry
+    /// come from `factory` directly (zero overhead); planned stations are
+    /// wrapped in [`FaultyStation`] seeded from
+    /// [`FaultPlan::station_seed`], respawning from `factory` on recovery.
+    pub(crate) fn station_factory<F>(&self, factory: F) -> impl Fn(u64) -> Box<dyn Protocol> + '_
+    where
+        F: Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static,
+    {
+        let factory = Arc::new(factory);
+        move |i| match self.get(i) {
+            None => factory(i),
+            Some(f) => {
+                let fac = Arc::clone(&factory);
+                Box::new(FaultyStation::new(
+                    f.clone(),
+                    self.station_seed(i),
+                    Box::new(move || fac(i)),
+                ))
+            }
+        }
+    }
+
+    /// The overlay's post-run verdict: set [`RunReport::leader_crashed`]
+    /// when the elected leader (or recorded winner) is crashed, and not
+    /// yet recovered, at the end of the full horizon. Judged against
+    /// `max_slots`, not the (possibly early) stop slot: crash schedules
+    /// are wall-clock, so a winner that resolved the election at slot 40
+    /// and crashes at slot 900 still leaves the network leaderless.
+    pub(crate) fn judge_leader(&self, config: &SimConfig, report: &mut RunReport) {
+        if report.leaders.len() <= 1 {
+            if let Some(w) = report.leaders.first().copied().or(report.winner) {
+                let horizon = config.max_slots.max(report.slots);
+                if self.leader_crashed(w, horizon) {
+                    report.leader_crashed = true;
+                }
+            }
+        }
     }
 }
 
@@ -501,40 +538,47 @@ impl Protocol for FaultyStation {
     }
 }
 
-/// The fault-injecting [`StationSet`] backend: an [`ExactStations`] whose
-/// planned stations are wrapped in [`FaultyStation`], plus the post-run
-/// degradation verdict from the [`FaultPlan`].
+/// The fault overlay: a base [`StationSet`] built from the plan's
+/// station factory, plus the plan's post-run leader-crash verdict. The
+/// verdict lands inside [`StationSet::finalize`], so `after_run`
+/// observers (telemetry outcome classification) see it.
 #[derive(Debug)]
-pub struct FaultyStations<'p> {
-    inner: ExactStations,
+pub struct FaultyStations<'p, S = ExactStations> {
+    inner: S,
     plan: &'p FaultPlan,
 }
 
 impl<'p> FaultyStations<'p> {
-    /// Build the station set: stations without a plan entry come from
-    /// `factory` directly (zero overhead); stations with one are wrapped
-    /// in [`FaultyStation`] seeded from [`FaultPlan::station_seed`].
+    /// The overlay on the exact backend ([`ExactStations`]): stations
+    /// without a plan entry come from `factory` directly (zero overhead);
+    /// planned stations are wrapped in [`FaultyStation`] seeded from
+    /// [`FaultPlan::station_seed`].
     pub fn new<F>(config: &SimConfig, plan: &'p FaultPlan, factory: F) -> Self
     where
         F: Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static,
     {
-        let factory = Arc::new(factory);
-        let inner = ExactStations::new(config, |i| match plan.get(i) {
-            None => factory(i),
-            Some(f) => {
-                let fac = Arc::clone(&factory);
-                Box::new(FaultyStation::new(
-                    f.clone(),
-                    plan.station_seed(i),
-                    Box::new(move || fac(i)),
-                ))
-            }
-        });
-        FaultyStations { inner, plan }
+        Self::with_base(plan, factory, |f| ExactStations::new(config, f))
     }
 }
 
-impl StationSet for FaultyStations<'_> {
+impl<'p, S: StationSet> FaultyStations<'p, S> {
+    /// The overlay on the set `base` builds from the plan-wrapped
+    /// `factory`, e.g.
+    /// `FaultyStations::with_base(&plan, factory, |f| FastExactStations::new(&config, f))`.
+    pub fn with_base<F>(
+        plan: &'p FaultPlan,
+        factory: F,
+        base: impl FnOnce(&mut dyn FnMut(u64) -> Box<dyn Protocol>) -> S,
+    ) -> Self
+    where
+        F: Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static,
+    {
+        let mut wrapped = plan.station_factory(factory);
+        FaultyStations { inner: base(&mut wrapped), plan }
+    }
+}
+
+impl<S: StationSet> StationSet for FaultyStations<'_, S> {
     fn finished(&self) -> bool {
         self.inner.finished()
     }
@@ -575,19 +619,7 @@ impl StationSet for FaultyStations<'_> {
 
     fn finalize(&mut self, config: &SimConfig, report: &mut RunReport) {
         self.inner.finalize(config, report);
-        if report.leaders.len() <= 1 {
-            if let Some(w) = report.leaders.first().copied().or(report.winner) {
-                // Judge against the full horizon, not the (possibly
-                // early) stop slot: crash schedules are wall-clock, so a
-                // winner that resolved the election at slot 40 and
-                // crashes at slot 900 still leaves the network
-                // leaderless.
-                let horizon = config.max_slots.max(report.slots);
-                if self.plan.leader_crashed(w, horizon) {
-                    report.leader_crashed = true;
-                }
-            }
-        }
+        self.plan.judge_leader(config, report);
     }
 }
 
@@ -756,7 +788,13 @@ mod tests {
         // Station 0 elects itself at slot 0 and crashes at slot 2; the
         // run continues (station 1 is deaf and never terminates) so the
         // crash takes effect before the end: the network is leaderless
-        // again and the taxonomy must say so.
+        // again and the taxonomy must say so — on every backend the
+        // overlay runs on, and before `after_run` observers look.
+        use crate::batch::run_batch_exact_faulty;
+        use crate::fast::{run_fast_exact_faulty, FastExactStations};
+        use crate::telemetry::{EngineMetrics, TelemetryObserver};
+        use jle_telemetry::MetricRegistry;
+
         let config = SimConfig::new(2, CdModel::Strong)
             .with_seed(1)
             .with_max_slots(10)
@@ -764,13 +802,34 @@ mod tests {
         let plan = FaultPlan::new(0)
             .with_station(0, StationFaults::none().crash(2))
             .with_station(1, StationFaults::none().deaf_between(0, u64::MAX));
-        let r = run_exact_faulty(&config, &AdversarySpec::passive(), &plan, move |i| {
+        let factory = move |i: u64| -> Box<dyn Protocol> {
             Box::new(PerStation::new(Fixed(if i == 0 { 1.0 } else { 0.0 })))
-        });
-        assert_eq!(r.resolved_at, Some(0));
-        assert_eq!(r.leaders, vec![0]);
-        assert!(r.leader_crashed);
-        assert_eq!(r.outcome(), Outcome::LeaderCrashed);
+        };
+        let passive = AdversarySpec::passive();
+        let registry = MetricRegistry::new();
+        let metrics = EngineMetrics::register(&registry);
+        let mut telemetry = TelemetryObserver::new(&config).with_metrics(metrics.clone());
+        let observed = {
+            let mut stations =
+                FaultyStations::with_base(&plan, factory, |f| FastExactStations::new(&config, f));
+            SimCore::new(&config, &passive).observe(&mut telemetry).run(&mut stations)
+        };
+        assert_eq!(metrics.anomalies_total.get(), 1, "after_run saw the crashed leader");
+
+        let mut runs = vec![
+            ("exact", run_exact_faulty(&config, &passive, &plan, factory)),
+            ("fast-exact", run_fast_exact_faulty(&config, &passive, &plan, factory)),
+            ("fast-exact + telemetry", observed),
+        ];
+        let batch = run_batch_exact_faulty(&config, &passive, &plan, &[1, 2, 3], factory);
+        runs.extend(batch.into_iter().map(|r| ("batch (K = 3)", r)));
+        assert_eq!(runs.len(), 6);
+        for (backend, r) in runs {
+            assert_eq!(r.resolved_at, Some(0), "{backend}");
+            assert_eq!(r.leaders, vec![0], "{backend}");
+            assert!(r.leader_crashed, "{backend}");
+            assert_eq!(r.outcome(), Outcome::LeaderCrashed, "{backend}");
+        }
     }
 
     #[test]

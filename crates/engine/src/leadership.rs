@@ -15,7 +15,7 @@
 //! * [`SplitBrainObserver`] — a passive [`SlotObserver`] that samples the
 //!   ledger every slot, flags windows with ≥2 concurrent believers,
 //!   measures time-to-resolution, and deposits
-//!   [`SplitBrainStats`](crate::report::SplitBrainStats) on the report.
+//!   [`SplitBrainStats`] on the report.
 //!
 //! The observer is strictly passive (golden-seed pinned): it reads the
 //! ledger and writes report fields, never the simulation state.
@@ -120,7 +120,7 @@ impl SplitInterval {
 }
 
 /// Samples a [`LeaderLedger`] every slot and deposits
-/// [`SplitBrainStats`](crate::report::SplitBrainStats) — see the module
+/// [`SplitBrainStats`] — see the module
 /// docs.
 #[derive(Debug)]
 pub struct SplitBrainObserver {

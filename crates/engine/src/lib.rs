@@ -7,11 +7,14 @@
 //! observations filtered by the collision-detection model, and jammed
 //! slots are indistinguishable from collisions.
 //!
-//! ## Architecture: one loop, six backends
+//! ## Architecture: one slot protocol, two drivers, six backends
 //!
-//! The slot loop is written exactly once, in [`SimCore`] (see
-//! `DESIGN.md` §10). What varies between simulators is *who the stations
-//! are*, captured by the [`StationSet`] trait:
+//! The slot protocol — adversary commit, budget clamp, noise, resolution,
+//! stop rules — is written exactly once, in [`crate::core`] (see `DESIGN.md`
+//! §10). [`SimCore::run`] plays it for one run; a lockstep driver beside
+//! it plays it for K trials at once. What varies between simulators is
+//! *who the stations are*, captured by the [`StationSet`] trait (and, for
+//! lockstep batches, by its private per-trial twin):
 //!
 //! * [`ExactStations`] / [`run_exact`] — per-station, O(n) per slot;
 //!   required for role-split protocols (`Notification`).
@@ -27,19 +30,22 @@
 //!   protocol class; tracks one shared state and samples transmitter
 //!   counts binomially, O(1) per slot (n-independent), enabling sweeps to
 //!   millions of stations.
-//! * [`BatchExactStations`] / [`run_batch_exact`] — K trials of the same
-//!   experiment in lockstep with structure-of-arrays state: per-trial
-//!   bitplanes (one `u64` word covers 64 trials per station), a merged
-//!   wake calendar, and one pass per slot over all live trials. Per
+//! * [`run_batch_exact`] / [`run_batch_uniform`] ([`batch`]) — K trials
+//!   of the same experiment on the lockstep driver, with
+//!   structure-of-arrays station state: per-trial bitplanes (one `u64`
+//!   word covers 64 trials per station), a merged wake calendar, and one
+//!   action and one feedback pass per slot over all live trials. Per
 //!   trial **bit-identical** to [`FastExactStations`], so batch results
 //!   share the fast backend's cache entries; resolved trials retire
 //!   early without perturbing the others (draws are coordinate-pure).
-//!   [`run_batch_uniform`] adds a one-shared-state-per-trial fast path
-//!   for the uniform protocol class (see `DESIGN.md` §17).
-//! * [`FaultyStations`] / [`run_exact_faulty`] — the exact backend with
-//!   the [`faults`] subsystem layered on: station crashes, staggered
-//!   wakeups, deafness, and sensing errors, with failures classified by
-//!   the [`Outcome`] degradation taxonomy.
+//!   The uniform entry keeps one shared state per trial (see
+//!   `DESIGN.md` §17).
+//! * [`FaultyStations`] / [`run_exact_faulty`] — the [`faults`] overlay on
+//!   any base set ([`ExactStations`] by default, [`FastExactStations`]
+//!   via [`FaultyStations::with_base`], and the batch backend through
+//!   [`run_batch_exact_faulty`]): station crashes, staggered wakeups,
+//!   deafness, and sensing errors, with failures classified by the
+//!   [`Outcome`] degradation taxonomy.
 //! * [`MultihopStations`] / [`run_multihop`] — per-*neighborhood* slot
 //!   resolution over an interference [`Topology`](jle_radio::Topology)
 //!   (complete / unit-disk / explicit), with message delivery on clean
@@ -79,10 +85,7 @@ pub mod streams;
 pub mod telemetry;
 
 pub use crate::core::{SimArena, SimCore, SlotActions, SlotFlags, StationSet, ADV_SEED_XOR};
-pub use batch::{
-    run_batch_exact, run_batch_exact_faulty, run_batch_exact_with, run_batch_uniform,
-    BatchExactStations, BatchUniformStations,
-};
+pub use batch::{run_batch_exact, run_batch_exact_faulty, run_batch_exact_with, run_batch_uniform};
 pub use churn::{
     run_batch_exact_churn, run_exact_churn, run_fast_exact_churn, ChurnPlan, StationChurn,
 };
@@ -92,9 +95,7 @@ pub use cohort::{
 };
 pub use config::{SimConfig, StopRule};
 pub use exact::{run_exact, run_exact_in, ExactStations};
-pub use fast::{
-    run_fast_exact, run_fast_exact_faulty, run_fast_exact_in, FastExactStations, FastFaultyStations,
-};
+pub use fast::{run_fast_exact, run_fast_exact_faulty, run_fast_exact_in, FastExactStations};
 pub use faults::{run_exact_faulty, FaultPlan, FaultyStation, FaultyStations, StationFaults};
 pub use leadership::{LeaderLedger, SplitBrainObserver, SplitInterval};
 pub use multihop::{

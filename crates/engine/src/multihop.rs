@@ -41,8 +41,8 @@
 //! adversary hits every neighborhood at once — which is what keeps the
 //! `Complete` case exactly the single-channel model.
 
-use crate::config::{SimConfig, StopRule};
-use crate::core::{SimCore, SlotActions, StationSet};
+use crate::config::SimConfig;
+use crate::core::{settle_timeout, stop_rule_fires, SimCore, SlotActions, StationSet};
 use crate::protocol::{Action, Protocol, Status};
 use crate::report::{ClusterOutcome, MultihopReport, RunReport};
 use crate::streams::{station_key, StationRng};
@@ -577,13 +577,6 @@ fn feedback_chunk(
 /// Per-chunk action kernel for the `Counter` discipline: every station
 /// draws from its own counter stream, so chunks are order-independent and
 /// the parallel phase is bit-identical to the serial one.
-#[derive(Debug, Clone, Copy, Default)]
-struct ChunkAgg {
-    tx: u64,
-    listen: u64,
-    lone: Option<u64>,
-}
-
 fn act_chunk(
     stations: &mut [Box<dyn MeshProtocol>],
     acts: &mut [u8],
@@ -591,8 +584,8 @@ fn act_chunk(
     order: &[u32],
     keys: &[u64],
     slot: u64,
-) -> ChunkAgg {
-    let mut agg = ChunkAgg::default();
+) -> SlotActions {
+    let mut agg = SlotActions::default();
     for (k, st) in stations.iter_mut().enumerate() {
         let id = order[k];
         if st.status().terminal() {
@@ -604,12 +597,11 @@ fn act_chunk(
             Action::Transmit => {
                 acts[k] = ACT_TRANSMIT;
                 payloads[k] = st.payload();
-                agg.tx += 1;
-                agg.lone = if agg.tx == 1 { Some(id as u64) } else { None };
+                agg.transmit(id as u64);
             }
             Action::Listen => {
                 acts[k] = ACT_LISTEN;
-                agg.listen += 1;
+                agg.listeners += 1;
             }
             Action::Sleep => acts[k] = ACT_SLEEP,
         }
@@ -624,9 +616,9 @@ impl StationSet for MultihopStations<'_> {
     }
 
     fn act(&mut self, slot: u64, _config: &SimConfig, rng: &mut SmallRng) -> SlotActions {
-        let mut actions = SlotActions::default();
-        match self.discipline {
+        let actions = match self.discipline {
             RngDiscipline::Shared => {
+                let mut actions = SlotActions::default();
                 // Station-index draw order on the engine's sequential
                 // stream: the ExactStations contract, so Complete runs
                 // replay bit-for-bit.
@@ -641,9 +633,7 @@ impl StationSet for MultihopStations<'_> {
                         Action::Transmit => {
                             self.acts[p] = ACT_TRANSMIT;
                             self.payloads[p] = st.payload();
-                            actions.transmitters += 1;
-                            actions.lone_transmitter =
-                                if actions.transmitters == 1 { Some(id as u64) } else { None };
+                            actions.transmit(id as u64);
                         }
                         Action::Listen => {
                             self.acts[p] = ACT_LISTEN;
@@ -652,10 +642,11 @@ impl StationSet for MultihopStations<'_> {
                         Action::Sleep => self.acts[p] = ACT_SLEEP,
                     }
                 }
+                actions
             }
             RngDiscipline::Counter => match self.chunk_plan() {
                 Some(chunks) => {
-                    let mut partials = vec![ChunkAgg::default(); chunks.len()];
+                    let mut partials = vec![SlotActions::default(); chunks.len()];
                     let (order, keys) = (&self.order[..], &self.keys[..]);
                     let mut st_rest = &mut self.stations[..];
                     let mut act_rest = &mut self.acts[..];
@@ -679,34 +670,18 @@ impl StationSet for MultihopStations<'_> {
                             });
                         }
                     });
-                    // Chunk-order fold (deterministic): totals are sums;
-                    // the lone transmitter exists only when exactly one
-                    // chunk saw exactly one.
-                    for part in &partials {
-                        actions.transmitters += part.tx;
-                        actions.listeners += part.listen;
-                    }
-                    actions.lone_transmitter = if actions.transmitters == 1 {
-                        partials.iter().find_map(|p| p.lone)
-                    } else {
-                        None
-                    };
+                    SlotActions::fold(&partials)
                 }
-                None => {
-                    let agg = act_chunk(
-                        &mut self.stations,
-                        &mut self.acts,
-                        &mut self.payloads,
-                        &self.order,
-                        &self.keys,
-                        slot,
-                    );
-                    actions.transmitters = agg.tx;
-                    actions.listeners = agg.listen;
-                    actions.lone_transmitter = if agg.tx == 1 { agg.lone } else { None };
-                }
+                None => act_chunk(
+                    &mut self.stations,
+                    &mut self.acts,
+                    &mut self.payloads,
+                    &self.order,
+                    &self.keys,
+                    slot,
+                ),
             },
-        }
+        };
         self.last_lone = actions.lone_transmitter;
         actions
     }
@@ -757,27 +732,11 @@ impl StationSet for MultihopStations<'_> {
         config: &SimConfig,
         report: &mut RunReport,
     ) -> bool {
-        match config.stop {
-            StopRule::FirstCleanSingle => report.resolved_at.is_some(),
-            StopRule::AllTerminated => {
-                if self.stations.iter().all(|s| s.status().terminal()) {
-                    report.all_terminated = true;
-                    true
-                } else {
-                    false
-                }
-            }
-            StopRule::Horizon => false,
-        }
+        stop_rule_fires(config, report, || self.stations.iter().all(|s| s.status().terminal()))
     }
 
     fn finalize(&mut self, config: &SimConfig, report: &mut RunReport) {
-        report.timed_out = match config.stop {
-            StopRule::FirstCleanSingle => report.resolved_at.is_none() && !self.finished(),
-            StopRule::AllTerminated => !report.all_terminated,
-            StopRule::Horizon => false,
-        };
-        report.cap_hit = report.timed_out && report.slots == config.max_slots;
+        settle_timeout(config, report, || self.finished());
         report.leaders = (0..self.order.len() as u64)
             .filter(|&id| self.stations[self.pos[id as usize] as usize].status() == Status::Leader)
             .collect();
@@ -877,6 +836,7 @@ pub fn run_multihop_std(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StopRule;
     use crate::exact::run_exact;
     use crate::fast::run_fast_exact;
     use crate::protocol::{PerStation, UniformProtocol};

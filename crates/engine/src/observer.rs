@@ -8,7 +8,7 @@
 //! way without touching the loop.
 //!
 //! Observers are strictly passive: they run after the slot's randomness
-//! is drawn and before resolution/feedback, and must not influence the
+//! is drawn and resolved, before feedback, and must not influence the
 //! simulation (the golden-seed suite pins this — attaching or detaching
 //! observers never changes a report's simulation fields).
 
@@ -60,7 +60,7 @@ pub trait SlotObserver {
     }
 
     /// Called once per played slot, after the slot's randomness is fully
-    /// drawn and before resolution and feedback. `estimate` is `Some`
+    /// drawn (winner draw included) and before feedback. `estimate` is `Some`
     /// only if [`SlotObserver::wants_estimate`] held for some observer.
     fn on_slot(
         &mut self,
@@ -168,7 +168,7 @@ impl SlotObserver for TraceObserver {
 /// Live slots/sec telemetry: batches played slots and hands the count to a
 /// sink every `interval` slots (plus a final flush), so a long run reports
 /// progress while it is still inside the loop. The orchestrator wires the
-/// sink to its atomic [`Stats`] counters — see
+/// sink to its atomic `Stats` counters — see
 /// `jle_orchestrator::telemetry`.
 ///
 /// The batching keeps the per-slot cost to one increment; pick `interval`

@@ -30,7 +30,7 @@ pub enum Action {
     /// Power down for the slot: no transmission, no observation, no
     /// energy spent. The paper's model has every non-transmitter listen;
     /// `Sleep` exists for the energy-aware extension (E23, following the
-    /// authors' energy-efficiency line of work, their ref [13]) and is
+    /// authors' energy-efficiency line of work, their ref \[13\]) and is
     /// only meaningful on the exact engine.
     Sleep,
 }

@@ -195,7 +195,8 @@ pub struct ClusterOutcome {
 }
 
 /// Topology-aware accounting for multi-hop runs, deposited by
-/// [`crate::multihop::MultihopStations::finalize`]. Absent (`None` on
+/// [`MultihopStations`](crate::MultihopStations)'s
+/// [`StationSet::finalize`](crate::StationSet::finalize). Absent (`None` on
 /// [`RunReport::multihop`]) for single-channel runs — including
 /// complete-topology multi-hop runs without a cluster assignment, which
 /// are bit-identical to the single-channel engine and must serialize

@@ -14,7 +14,7 @@
 //!   both the `jle-sweepd` cache tree (`cohort_election`) and the lens's
 //!   extended `election_run` shape, and dispatches onto the exact,
 //!   fast-exact, faulty/churn, cohort, and multi-hop backends.
-//! * [`replay`] — the capture layer ([`ReplayObserver`]), bit-exact
+//! * [`replay`](mod@replay) — the capture layer ([`ReplayObserver`]), bit-exact
 //!   [`divergence`] checking against [`jle_telemetry::FlightRecord`]
 //!   artifacts, and backend-vs-backend [`diff`]ing that pinpoints the
 //!   first diverging slot.

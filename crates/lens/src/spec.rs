@@ -25,9 +25,9 @@
 
 use jle_adversary::AdversarySpec;
 use jle_engine::{
-    ChurnPlan, CohortStations, ExactStations, FastExactStations, FastFaultyStations, FaultPlan,
-    FaultyStations, MeshProtocol, MultihopStations, PerStation, Protocol, RngDiscipline, RunReport,
-    SimConfig, SimCore, SlotObserver, StdMesh, StopRule,
+    ChurnPlan, CohortStations, ExactStations, FastExactStations, FaultPlan, FaultyStations,
+    MeshProtocol, MultihopStations, PerStation, Protocol, RngDiscipline, RunReport, SimConfig,
+    SimCore, SlotObserver, StdMesh, StopRule,
 };
 use jle_protocols::{
     BackoffProtocol, ClusterElection, LeskProtocol, LesuProtocol, WillardProtocol,
@@ -67,9 +67,11 @@ pub enum EngineKind {
     /// Per-station exact engine ([`ExactStations`]; [`FaultyStations`]
     /// when a fault or churn plan is attached).
     Exact,
-    /// Bitset fast path ([`FastExactStations`] / [`FastFaultyStations`]).
+    /// Bitset fast path ([`FastExactStations`]; the same
+    /// [`FaultyStations`] overlay on it when a fault or churn plan is
+    /// attached).
     FastExact,
-    /// Batched lockstep backend (`BatchExactStations`). The batch engine
+    /// Batched lockstep backend ([`jle_engine::run_batch_exact`]). The batch engine
     /// is bit-identical per trial to the fast-exact path by contract
     /// (DESIGN.md §17), and it cannot host a per-slot observer — so a
     /// replay under this engine *dispatches onto the fast-exact
@@ -717,7 +719,9 @@ impl LensSpec {
                     }
                     (EngineKind::FastExact | EngineKind::Batch, Some(plan)) => {
                         let mut stations =
-                            FastFaultyStations::new(&config, &plan, self.protocol_factory());
+                            FaultyStations::with_base(&plan, self.protocol_factory(), |f| {
+                                FastExactStations::new(&config, f)
+                            });
                         SimCore::new(&config, &self.adv).observe(obs).run(&mut stations)
                     }
                     _ => unreachable!("match is over Exact | FastExact | Batch"),

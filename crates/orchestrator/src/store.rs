@@ -80,7 +80,7 @@ impl ResultStore {
     /// means another live writer holds it — the caller should skip the
     /// write, because by the determinism contract the holder is
     /// persisting byte-identical content. Claims left behind by crashed
-    /// writers (older than [`STALE_CLAIM`]) are broken and re-taken.
+    /// writers (older than `STALE_CLAIM`) are broken and re-taken.
     pub fn try_claim_chunk(
         &self,
         key: &Fingerprint,

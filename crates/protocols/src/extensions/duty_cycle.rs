@@ -1,7 +1,7 @@
 //! Duty-cycled LESK — the energy/latency trade-off (extension).
 //!
 //! The paper measures time, not energy, but its authors study
-//! energy-efficient election elsewhere (their ref [13]). This extension
+//! energy-efficient election elsewhere (their ref \[13\]). This extension
 //! duty-cycles LESK: a station is awake only in slots
 //! `slot ≡ phase (mod period)` and sleeps otherwise (no listening cost,
 //! no observation). Staggered phases partition the network into `period`
