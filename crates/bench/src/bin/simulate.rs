@@ -19,10 +19,9 @@ use jle_engine::{
 };
 use jle_protocols::{
     lewk, lewu, ArssMacProtocol, BackoffProtocol, ClusterElection, LeaseConfig, LeaseProtocol,
-    LeskProtocol, LesuProtocol, WillardProtocol,
+    LeskProtocol, LesuProtocol, ProtoSpec, RunSpec, WillardProtocol,
 };
 use jle_radio::{CdModel, Topology};
-use serde::Serialize;
 use serde_json::json;
 
 #[derive(Debug, Clone)]
@@ -78,55 +77,9 @@ struct Args {
 type ParsedTopology = Option<(Topology, Option<Vec<u32>>)>;
 
 fn parse_topology(spec: &str) -> Result<ParsedTopology, String> {
-    if spec == "complete" {
-        return Ok(None);
-    }
-    let (kind, rest) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("--topology: expected KIND:ARGS, got `{spec}`"))?;
-    let nums: Vec<&str> = rest.split(',').collect();
-    let int = |s: &str, what: &str| -> Result<u64, String> {
-        s.trim().parse::<u64>().map_err(|e| format!("--topology {kind}: {what}: {e}"))
-    };
-    match kind {
-        "dense-linear" => {
-            if nums.len() != 2 {
-                return Err("--topology dense-linear:K,M takes two integers".into());
-            }
-            let (k, m) = (int(nums[0], "K")?, int(nums[1], "M")?);
-            if k == 0 || m == 0 || k > 4_096 || m > 4_096 {
-                return Err("--topology dense-linear: K and M must be in 1..=4096".into());
-            }
-            let (topo, clusters) = Topology::dense_linear(k as u32, m as u32);
-            Ok(Some((topo, Some(clusters))))
-        }
-        "core-tail" => {
-            if nums.len() != 2 {
-                return Err("--topology core-tail:C,T takes two integers".into());
-            }
-            let (c, t) = (int(nums[0], "C")?, int(nums[1], "T")?);
-            if c == 0 || c > 4_096 || t > 4_096 {
-                return Err("--topology core-tail: C must be in 1..=4096, T in 0..=4096".into());
-            }
-            let (topo, clusters) = Topology::core_tail(c as u32, t as u32);
-            Ok(Some((topo, Some(clusters))))
-        }
-        "unit-disk" => {
-            if nums.len() != 3 {
-                return Err("--topology unit-disk:N,R,SEED takes three values".into());
-            }
-            let n = int(nums[0], "N")?;
-            let r: f64 =
-                nums[1].trim().parse().map_err(|e| format!("--topology unit-disk: R: {e}"))?;
-            let seed = int(nums[2], "SEED")?;
-            let topo = Topology::unit_disk(n, r, seed)
-                .map_err(|e| format!("--topology unit-disk: {e}"))?;
-            Ok(Some((topo, None)))
-        }
-        other => Err(format!(
-            "unknown topology kind `{other}` (expected complete, dense-linear, core-tail, \
-             or unit-disk)"
-        )),
+    match jle_protocols::spec::parse_topology(spec).map_err(|e| format!("--topology: {e}"))? {
+        (Topology::Complete, _) => Ok(None),
+        parsed => Ok(Some(parsed)),
     }
 }
 
@@ -313,20 +266,13 @@ fn server_params(args: &Args, adv: &AdversarySpec) -> Option<serde::Value> {
         return None;
     }
     let proto = match args.protocol.as_str() {
-        "lesk" => json!({"proto": "lesk", "eps": args.eps}),
-        "lesu" => json!({"proto": "lesu"}),
-        "backoff" => json!({"proto": "backoff"}),
-        "willard" => json!({"proto": "willard"}),
+        "lesk" => ProtoSpec::lesk(args.eps),
+        "lesu" => ProtoSpec::Lesu,
+        "backoff" => ProtoSpec::Backoff,
+        "willard" => ProtoSpec::Willard,
         _ => return None,
     };
-    Some(json!({
-        "kind": "cohort_election",
-        "n": args.n,
-        "cd": args.cd,
-        "adv": adv.to_json_value(),
-        "max_slots": args.max_slots,
-        "proto": proto,
-    }))
+    Some(RunSpec::cohort(args.n, args.cd, adv, args.max_slots, proto).to_params())
 }
 
 /// Run the scenario on a resident `jle-sweepd` service and return the

@@ -3,11 +3,10 @@
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{Figure, Summary, Table};
 use jle_engine::{
-    run_batch_exact_with, run_cohort, run_exact, run_fast_exact, Protocol, RunReport, SimConfig,
-    SlotCost, UniformProtocol,
+    run_batch_exact_with, run_exact, run_fast_exact, Protocol, RunReport, SimConfig, SlotCost,
 };
 use jle_orchestrator::{Orchestrator, WorkSpec};
-use jle_radio::CdModel;
+use jle_protocols::{EngineKind, RunSpec};
 use jle_sweepd::SweepClient;
 use jle_telemetry::FlightRecorder;
 use serde::{Deserialize, Serialize, Value};
@@ -127,17 +126,11 @@ impl EngineMode {
         }
     }
 
-    /// The cache-key tag ([`jle_orchestrator::Orchestrator::engine_mode`]).
-    ///
-    /// `Batch` deliberately aliases the fast-exact salt: its per-trial
-    /// reports are bit-identical (the `batch-identity` CI job's
-    /// contract), so batched and per-trial sweeps warm each other's
-    /// caches instead of forking the store into twin populations.
+    /// The cache-key tag ([`jle_orchestrator::Orchestrator::engine_mode`]):
+    /// the same engine's [`EngineKind::cache_tag`], so `Batch` aliases the
+    /// fast-exact salt here exactly as it does for sweepd.
     pub fn cache_tag(self) -> &'static str {
-        match self {
-            EngineMode::Exact => "exact",
-            EngineMode::FastExact | EngineMode::Batch => "fast-exact",
-        }
+        EngineKind::parse(self.label()).expect("every mode names an engine").cache_tag()
     }
 }
 
@@ -284,60 +277,32 @@ impl ExpContext {
         self.orch.run_trials(&spec, trials, f)
     }
 
-    /// Run `trials` cohort elections and return the per-trial slot counts
-    /// (timeouts are reported as `max_slots`, plus the timeout count).
+    /// Run `trials` seeded trials of the election `spec` describes as one
+    /// cacheable work unit and return the per-trial slot counts (timeouts
+    /// are reported as `max_slots`, plus the timeout count).
     ///
-    /// `proto` names the protocol and its parameters for the cache key
-    /// (the factory closure itself cannot be hashed), e.g.
-    /// `json!({"proto": "lesk", "eps": 0.5})`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn election_slots<U, F>(
+    /// The unit is keyed by [`RunSpec::to_params`] and computed by
+    /// [`RunSpec::run`] of the same spec, so the cache key and the run
+    /// cannot disagree; a supported spec may be served by an attached
+    /// `jle-sweepd`, which parses the same tree back.
+    pub fn election_slots(
         &self,
         experiment: &str,
         point: &str,
-        proto: Value,
-        n: u64,
-        cd: CdModel,
-        adv: &AdversarySpec,
+        spec: &RunSpec,
         trials: u64,
         base_seed: u64,
-        max_slots: u64,
-        factory: F,
-    ) -> (Vec<f64>, u64)
-    where
-        U: UniformProtocol,
-        F: Fn() -> U + Sync,
-    {
-        let params = election_params(proto, n, cd, adv, max_slots);
-        let spec = WorkSpec::new(experiment, point, params, base_seed);
-        let reports: Vec<RunReport> = match self.server_reports(&spec, trials) {
+    ) -> (Vec<f64>, u64) {
+        let work = WorkSpec::new(experiment, point, spec.to_params(), base_seed);
+        let reports: Vec<RunReport> = match self.server_reports(&work, trials) {
             Some(reports) => reports,
-            None => self.orch.run_trials(&spec, trials, |seed| {
-                let config = SimConfig::new(n, cd).with_seed(seed).with_max_slots(max_slots);
-                run_cohort(&config, adv, &factory)
+            None => self.orch.run_trials(&work, trials, |seed| {
+                spec.run(seed).expect("single-channel elections always run")
             }),
         };
         let timeouts = reports.iter().filter(|r| r.timed_out).count() as u64;
         (reports.iter().map(|r| r.slots as f64).collect(), timeouts)
     }
-}
-
-/// The canonical parameter tree of a cohort-election work unit.
-pub fn election_params(
-    proto: Value,
-    n: u64,
-    cd: CdModel,
-    adv: &AdversarySpec,
-    max_slots: u64,
-) -> Value {
-    serde_json::json!({
-        "kind": "cohort_election",
-        "n": n,
-        "cd": cd,
-        "adv": adv.to_json_value(),
-        "max_slots": max_slots,
-        "proto": proto,
-    })
 }
 
 /// Convenience: median of a sample (panics on empty).
@@ -353,7 +318,10 @@ pub fn summary_cells(s: &Summary) -> (String, String, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jle_protocols::LeskProtocol;
+    use jle_adversary::{JamStrategyKind, Rate};
+    use jle_orchestrator::canonicalize;
+    use jle_protocols::ProtoSpec;
+    use jle_radio::CdModel;
 
     #[test]
     fn experiment_result_renders() {
@@ -371,20 +339,98 @@ mod tests {
     #[test]
     fn election_slots_smoke() {
         let ctx = ExpContext::ephemeral(true);
-        let (slots, timeouts) = ctx.election_slots(
-            "e0",
-            "smoke",
-            serde_json::json!({"proto": "lesk", "eps": 0.5f64}),
+        let spec = RunSpec::cohort(
             64,
             CdModel::Strong,
             &AdversarySpec::passive(),
-            10,
-            1,
             100_000,
-            || LeskProtocol::new(0.5),
+            ProtoSpec::lesk(0.5),
         );
+        let (slots, timeouts) = ctx.election_slots("e0", "smoke", &spec, 10, 1);
         assert_eq!(slots.len(), 10);
         assert_eq!(timeouts, 0);
         assert!(median(&slots) > 0.0);
+    }
+
+    /// The hand-built cohort-election tree every experiment keyed its
+    /// units with before they submitted a [`RunSpec`] — kept as the oracle
+    /// that pins today's cache keys.
+    fn election_params(
+        proto: Value,
+        n: u64,
+        cd: CdModel,
+        adv: &AdversarySpec,
+        max_slots: u64,
+    ) -> Value {
+        serde_json::json!({
+            "kind": "cohort_election",
+            "n": n,
+            "cd": cd,
+            "adv": adv.to_json_value(),
+            "max_slots": max_slots,
+            "proto": proto,
+        })
+    }
+
+    #[test]
+    fn run_spec_keys_equal_the_hand_built_trees() {
+        use serde_json::json;
+        let (eps, log2n) = (0.5f64, 10.0f64);
+        // Every `proto` shape the experiments emit, next to its spec.
+        let protos = [
+            (json!({"proto": "lesk", "eps": eps}), ProtoSpec::lesk(eps)),
+            (
+                json!({"proto": "lesk", "eps": eps, "u0": log2n}),
+                ProtoSpec::Lesk { eps, divisor: None, u0: Some(log2n) },
+            ),
+            (
+                json!({"proto": "lesk", "eps": 0.1f64, "u0": log2n + 30.0}),
+                ProtoSpec::Lesk { eps: 0.1, divisor: None, u0: Some(log2n + 30.0) },
+            ),
+            (
+                json!({"proto": "lesk", "eps": eps, "divisor": 0.6f64, "u0": 0.0f64}),
+                ProtoSpec::Lesk { eps, divisor: Some(0.6), u0: Some(0.0) },
+            ),
+            (
+                json!({"proto": "lesk", "eps": eps, "divisor": 8.0f64, "u0": log2n}),
+                ProtoSpec::Lesk { eps, divisor: Some(8.0), u0: Some(log2n) },
+            ),
+            (json!({"proto": "lesu"}), ProtoSpec::Lesu),
+            (json!({"proto": "backoff"}), ProtoSpec::Backoff),
+            (json!({"proto": "willard"}), ProtoSpec::Willard),
+            (json!({"proto": "arss", "gamma": 0.21f64}), ProtoSpec::Arss { gamma: 0.21 }),
+        ];
+        let advs = [
+            AdversarySpec::passive(),
+            saturating(eps, 32),
+            AdversarySpec::new(
+                Rate::from_f64(eps),
+                64,
+                JamStrategyKind::AdaptiveEstimator {
+                    n: 1024,
+                    protocol_eps: eps,
+                    band: 3.0,
+                    initial_u: 0.0,
+                },
+            ),
+        ];
+        let orch = Orchestrator::ephemeral();
+        for (tree, proto) in &protos {
+            for cd in [CdModel::Strong, CdModel::Weak, CdModel::NoCd] {
+                for adv in &advs {
+                    let oracle = election_params(tree.clone(), 1024, cd, adv, 3_000_000);
+                    let spec = RunSpec::cohort(1024, cd, adv, 3_000_000, *proto);
+                    let emitted = spec.to_params();
+                    assert_eq!(canonicalize(&emitted), canonicalize(&oracle), "{tree:?}");
+                    let key = |params: Value| {
+                        orch.fingerprint_hex::<RunReport>(&WorkSpec::new("e0", "p", params, 7))
+                    };
+                    assert_eq!(key(emitted), key(oracle.clone()), "{tree:?}");
+                    // The tree parses back to the same spec's key.
+                    let parsed = RunSpec::from_params(&oracle).expect("oracle trees parse");
+                    assert_eq!(canonicalize(&parsed.to_params()), canonicalize(&oracle));
+                }
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::common::{median, saturating, ExpContext, ExperimentResult};
 use jle_analysis::{fmt, Table};
-use jle_protocols::{math, LeskProtocol};
+use jle_protocols::{math, ProtoSpec, RunSpec};
 use jle_radio::CdModel;
 
 /// Run E2.
@@ -53,14 +53,15 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         let (slots, timeouts) = ctx.election_slots(
             "e2",
             &format!("cold/eps={eps}"),
-            serde_json::json!({"proto": "lesk", "eps": eps}),
-            n,
-            CdModel::Strong,
-            &saturating(eps, t_window),
+            &RunSpec::cohort(
+                n,
+                CdModel::Strong,
+                &saturating(eps, t_window),
+                50_000_000,
+                ProtoSpec::lesk(eps),
+            ),
             trials,
             9_000 + idx as u64 * 101,
-            50_000_000,
-            || LeskProtocol::new(eps),
         );
         assert_eq!(timeouts, 0, "no timeouts expected in E2 at eps={eps}");
         let med = median(&slots);
@@ -92,14 +93,15 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         let (slots, timeouts) = ctx.election_slots(
             "e2",
             &format!("warm/eps={eps}"),
-            serde_json::json!({"proto": "lesk", "eps": eps, "u0": log2n}),
-            n,
-            CdModel::Strong,
-            &saturating(eps, t_window),
+            &RunSpec::cohort(
+                n,
+                CdModel::Strong,
+                &saturating(eps, t_window),
+                50_000_000,
+                ProtoSpec::Lesk { eps, divisor: None, u0: Some(log2n) },
+            ),
             trials,
             19_000 + idx as u64 * 103,
-            50_000_000,
-            move || LeskProtocol::with_initial_estimate(eps, log2n),
         );
         assert_eq!(timeouts, 0);
         let med = median(&slots);

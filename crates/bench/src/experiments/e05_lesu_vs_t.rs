@@ -9,7 +9,7 @@
 use crate::common::{median, ExpContext, ExperimentResult};
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{fmt, Table};
-use jle_protocols::LesuProtocol;
+use jle_protocols::{ProtoSpec, RunSpec};
 use jle_radio::CdModel;
 
 /// Run E5.
@@ -38,14 +38,9 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         let (slots, to) = ctx.election_slots(
             "e5",
             &format!("burst/T={t}"),
-            serde_json::json!({"proto": "lesu"}),
-            n,
-            CdModel::Strong,
-            &adv,
+            &RunSpec::cohort(n, CdModel::Strong, &adv, 2_000_000_000, ProtoSpec::Lesu),
             trials,
             50_000 + i as u64,
-            2_000_000_000,
-            LesuProtocol::new,
         );
         assert_eq!(to, 0, "no timeouts expected in E5 at T={t}");
         let med = median(&slots);

@@ -10,7 +10,7 @@ use crate::common::{median, saturating, ExpContext, ExperimentResult};
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, Table};
 use jle_engine::{run_exact, SimConfig, StopRule};
-use jle_protocols::{lewk, lewu, LeskProtocol, LesuProtocol};
+use jle_protocols::{lewk, lewu, ProtoSpec, RunSpec};
 use jle_radio::CdModel;
 use serde::Serialize;
 
@@ -88,14 +88,9 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
             let (strong, st) = ctx.election_slots(
                 "e6",
                 &format!("lesk/{advname}/n={n}"),
-                serde_json::json!({"proto": "lesk", "eps": eps}),
-                n,
-                CdModel::Strong,
-                &adv,
+                &RunSpec::cohort(n, CdModel::Strong, &adv, 30_000_000, ProtoSpec::lesk(eps)),
                 trials,
                 61_000 + i as u64,
-                30_000_000,
-                || LeskProtocol::new(eps),
             );
             assert_eq!(timeouts + st, 0, "no timeouts expected in E6 (n={n})");
             assert_eq!(bad, 0, "leader-count violation in E6 (n={n})");
@@ -126,14 +121,9 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         let (strong, st) = ctx.election_slots(
             "e6",
             &format!("lesu/n={n}"),
-            serde_json::json!({"proto": "lesu"}),
-            n,
-            CdModel::Strong,
-            &adv,
+            &RunSpec::cohort(n, CdModel::Strong, &adv, 100_000_000, ProtoSpec::Lesu),
             trials.min(20),
             63_000 + i as u64,
-            100_000_000,
-            LesuProtocol::new,
         );
         assert_eq!(st, 0);
         let (mw, ms) = (median(&weak), median(&strong));

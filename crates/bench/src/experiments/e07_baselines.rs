@@ -12,7 +12,7 @@
 use crate::common::{median, saturating, ExpContext, ExperimentResult};
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{fmt, Table};
-use jle_protocols::{ArssMacProtocol, BackoffProtocol, LeskProtocol, WillardProtocol};
+use jle_protocols::{ArssMacProtocol, ProtoSpec, RunSpec};
 use jle_radio::CdModel;
 
 const MAX_SLOTS: u64 = 3_000_000;
@@ -31,50 +31,30 @@ fn row_for(
     let lesk = ctx.election_slots(
         "e7",
         &pt("lesk"),
-        serde_json::json!({"proto": "lesk", "eps": 0.3f64}),
-        n,
-        CdModel::Strong,
-        adv,
+        &RunSpec::cohort(n, CdModel::Strong, adv, MAX_SLOTS, ProtoSpec::lesk(0.3)),
         trials,
         seed,
-        MAX_SLOTS,
-        || LeskProtocol::new(0.3),
     );
     let arss = ctx.election_slots(
         "e7",
         &pt("arss"),
-        serde_json::json!({"proto": "arss", "gamma": gamma}),
-        n,
-        CdModel::Strong,
-        adv,
+        &RunSpec::cohort(n, CdModel::Strong, adv, MAX_SLOTS, ProtoSpec::Arss { gamma }),
         trials,
         seed + 1,
-        MAX_SLOTS,
-        || ArssMacProtocol::new(gamma),
     );
     let backoff = ctx.election_slots(
         "e7",
         &pt("backoff"),
-        serde_json::json!({"proto": "backoff"}),
-        n,
-        CdModel::Strong,
-        adv,
+        &RunSpec::cohort(n, CdModel::Strong, adv, MAX_SLOTS, ProtoSpec::Backoff),
         trials,
         seed + 2,
-        MAX_SLOTS,
-        BackoffProtocol::new,
     );
     let willard = ctx.election_slots(
         "e7",
         &pt("willard"),
-        serde_json::json!({"proto": "willard"}),
-        n,
-        CdModel::Strong,
-        adv,
+        &RunSpec::cohort(n, CdModel::Strong, adv, MAX_SLOTS, ProtoSpec::Willard),
         trials,
         seed + 3,
-        MAX_SLOTS,
-        WillardProtocol::new,
     );
     let cell = |(slots, timeouts): (Vec<f64>, u64)| {
         if timeouts * 2 >= trials {
@@ -124,30 +104,20 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
             t_window,
             JamStrategyKind::AdaptiveEstimator { n, protocol_eps: eps, band: 3.0, initial_u: 0.0 },
         );
-        let proto = serde_json::json!({"proto": "lesk", "eps": eps});
+        let proto = ProtoSpec::lesk(eps);
         let (a, at) = ctx.election_slots(
             "e7",
             &format!("lesk/adaptive/n={n}"),
-            proto.clone(),
-            n,
-            CdModel::Strong,
-            &adaptive_spec,
+            &RunSpec::cohort(n, CdModel::Strong, &adaptive_spec, MAX_SLOTS, proto),
             trials,
             75_000 + i as u64,
-            MAX_SLOTS,
-            || LeskProtocol::new(eps),
         );
         let (s, st) = ctx.election_slots(
             "e7",
             &format!("lesk/saturating2/n={n}"),
-            proto,
-            n,
-            CdModel::Strong,
-            &saturating(eps, t_window),
+            &RunSpec::cohort(n, CdModel::Strong, &saturating(eps, t_window), MAX_SLOTS, proto),
             trials,
             76_000 + i as u64,
-            MAX_SLOTS,
-            || LeskProtocol::new(eps),
         );
         assert_eq!(at + st, 0, "LESK must not time out in E7");
         adaptive.push_row([n.to_string(), fmt(median(&a)), fmt(median(&s))]);

@@ -11,7 +11,7 @@
 use crate::common::{median, ExpContext, ExperimentResult};
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{fmt, Table};
-use jle_protocols::{math, LeskProtocol};
+use jle_protocols::{math, ProtoSpec, RunSpec};
 use jle_radio::CdModel;
 
 /// Run E8.
@@ -36,14 +36,9 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         let (slots, to) = ctx.election_slots(
             "e8",
             &format!("sweep-n/n={n}"),
-            serde_json::json!({"proto": "lesk", "eps": eps}),
-            n,
-            CdModel::Strong,
-            &adv,
+            &RunSpec::cohort(n, CdModel::Strong, &adv, 100_000_000, ProtoSpec::lesk(eps)),
             trials,
             80_000 + i as u64,
-            100_000_000,
-            || LeskProtocol::new(eps),
         );
         assert_eq!(to, 0);
         let med = median(&slots);
@@ -63,14 +58,9 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         let (slots, to) = ctx.election_slots(
             "e8",
             &format!("sweep-eps/eps={eps}"),
-            serde_json::json!({"proto": "lesk", "eps": eps}),
-            n,
-            CdModel::Strong,
-            &adv,
+            &RunSpec::cohort(n, CdModel::Strong, &adv, 100_000_000, ProtoSpec::lesk(eps)),
             trials,
             81_000 + i as u64,
-            100_000_000,
-            || LeskProtocol::new(eps),
         );
         assert_eq!(to, 0);
         let med = median(&slots);

@@ -16,7 +16,7 @@
 use crate::common::{median, saturating, ExpContext, ExperimentResult};
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, Table};
-use jle_protocols::LeskProtocol;
+use jle_protocols::{ProtoSpec, RunSpec};
 use jle_radio::CdModel;
 
 /// Run E20.
@@ -42,43 +42,22 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
             "timeouts",
         ]);
         for (i, &d) in divisors.iter().enumerate() {
-            let mk = move || {
-                let p = LeskProtocol::with_increment_divisor(eps, d);
-                if warm {
-                    p.starting_at(log2n)
-                } else {
-                    p
-                }
-            };
-            let proto = serde_json::json!({
-                "proto": "lesk",
-                "eps": eps,
-                "divisor": d,
-                "u0": if warm { log2n } else { 0.0 },
-            });
+            // The cold start still carries `u0: 0` in its key.
+            let u0 = Some(if warm { log2n } else { 0.0 });
+            let proto = ProtoSpec::Lesk { eps, divisor: Some(d), u0 };
             let (clean, t0) = ctx.election_slots(
                 "e20",
                 &format!("clean/{regime}/d={d}"),
-                proto.clone(),
-                n,
-                CdModel::Strong,
-                &AdversarySpec::passive(),
+                &RunSpec::cohort(n, CdModel::Strong, &AdversarySpec::passive(), 2_000_000, proto),
                 trials,
                 200_000 + i as u64 * 3 + warm as u64,
-                2_000_000,
-                mk,
             );
             let (jam, t1) = ctx.election_slots(
                 "e20",
                 &format!("saturating/{regime}/d={d}"),
-                proto,
-                n,
-                CdModel::Strong,
-                &saturating(eps, 32),
+                &RunSpec::cohort(n, CdModel::Strong, &saturating(eps, 32), 2_000_000, proto),
                 trials,
                 201_000 + i as u64 * 3 + warm as u64,
-                2_000_000,
-                mk,
             );
             table.push_row([
                 format!("{d}"),

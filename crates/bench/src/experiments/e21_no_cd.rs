@@ -23,7 +23,7 @@
 use crate::common::{median, saturating, ExpContext, ExperimentResult};
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{fmt, Table};
-use jle_protocols::{BackoffProtocol, LeskProtocol};
+use jle_protocols::{ProtoSpec, RunSpec};
 use jle_radio::CdModel;
 
 /// Run E21.
@@ -55,43 +55,28 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
     for (name, cd) in
         [("strong-CD", CdModel::Strong), ("weak-CD", CdModel::Weak), ("no-CD", CdModel::NoCd)]
     {
-        let cold_proto = serde_json::json!({"proto": "lesk", "eps": eps});
-        let rec_proto = serde_json::json!({"proto": "lesk", "eps": eps, "u0": u_start});
+        let cold_proto = ProtoSpec::lesk(eps);
+        let rec_proto = ProtoSpec::Lesk { eps, divisor: None, u0: Some(u_start) };
         let (cold, _) = ctx.election_slots(
             "e21",
             &format!("cold/{name}"),
-            cold_proto,
-            n,
-            cd,
-            &saturating(eps, 8),
+            &RunSpec::cohort(n, cd, &saturating(eps, 8), cap, cold_proto),
             trials,
             211_000,
-            cap,
-            || LeskProtocol::new(eps),
         );
         let (rec_clean, rt0) = ctx.election_slots(
             "e21",
             &format!("recovery-clean/{name}"),
-            rec_proto.clone(),
-            n,
-            cd,
-            &AdversarySpec::passive(),
+            &RunSpec::cohort(n, cd, &AdversarySpec::passive(), cap, rec_proto),
             trials,
             212_000,
-            cap,
-            move || LeskProtocol::with_initial_estimate(eps, u_start),
         );
         let (rec_jam, rt1) = ctx.election_slots(
             "e21",
             &format!("recovery-jam/{name}"),
-            rec_proto,
-            n,
-            cd,
-            &saturating(eps, 8),
+            &RunSpec::cohort(n, cd, &saturating(eps, 8), cap, rec_proto),
             trials,
             212_500,
-            cap,
-            move || LeskProtocol::with_initial_estimate(eps, u_start),
         );
         let cell = |xs: &Vec<f64>, to: u64| {
             if to * 2 >= trials {
@@ -131,54 +116,34 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
             8,
             JamStrategyKind::SweepTargeted { n, band: 3.0 },
         );
-        let backoff_proto = serde_json::json!({"proto": "backoff"});
+        let backoff_proto = ProtoSpec::Backoff;
         let (clean, c0) = ctx.election_slots(
             "e21",
             &format!("backoff-clean/n={n}"),
-            backoff_proto.clone(),
-            n,
-            CdModel::NoCd,
-            &AdversarySpec::passive(),
+            &RunSpec::cohort(n, CdModel::NoCd, &AdversarySpec::passive(), cap, backoff_proto),
             trials,
             213_000 + i as u64,
-            cap,
-            BackoffProtocol::new,
         );
         let (sat, c1) = ctx.election_slots(
             "e21",
             &format!("backoff-sat/n={n}"),
-            backoff_proto.clone(),
-            n,
-            CdModel::NoCd,
-            &saturating(eps, 8),
+            &RunSpec::cohort(n, CdModel::NoCd, &saturating(eps, 8), cap, backoff_proto),
             trials,
             214_000 + i as u64,
-            cap,
-            BackoffProtocol::new,
         );
         let (tgt, c2) = ctx.election_slots(
             "e21",
             &format!("backoff-targeted/n={n}"),
-            backoff_proto,
-            n,
-            CdModel::NoCd,
-            &targeted,
+            &RunSpec::cohort(n, CdModel::NoCd, &targeted, cap, backoff_proto),
             trials,
             215_000 + i as u64,
-            cap,
-            BackoffProtocol::new,
         );
         let (lesk, c3) = ctx.election_slots(
             "e21",
             &format!("lesk-sat/n={n}"),
-            serde_json::json!({"proto": "lesk", "eps": eps}),
-            n,
-            CdModel::Strong,
-            &saturating(eps, 8),
+            &RunSpec::cohort(n, CdModel::Strong, &saturating(eps, 8), cap, ProtoSpec::lesk(eps)),
             trials,
             216_000 + i as u64,
-            cap,
-            || LeskProtocol::new(eps),
         );
         assert_eq!(c0 + c1 + c2 + c3, 0, "no timeouts expected at n={n}");
         let (mc, mt) = (median(&clean), median(&tgt));

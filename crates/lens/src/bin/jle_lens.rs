@@ -20,8 +20,8 @@
 
 use jle_engine::RngDiscipline;
 use jle_lens::{
-    check_chrome_trace, diff, divergence, record, replay, Divergence, EngineKind, LensSpec,
-    ReplayOutcome,
+    check_chrome_trace, diff, divergence, record, replay, Divergence, EngineKind, ReplayOutcome,
+    RunSpec,
 };
 use jle_orchestrator::{ResultStore, WorkSpec};
 use jle_telemetry::FlightRecord;
@@ -102,8 +102,8 @@ fn load_params(path: &str) -> Result<(Value, Option<u64>), String> {
     Err(format!("{path}: neither a params tree (`kind`) nor a work spec (`params`)"))
 }
 
-fn parse_spec(params: &Value) -> Result<LensSpec, String> {
-    LensSpec::from_params(params).map_err(|e| e.to_string())
+fn parse_spec(params: &Value) -> Result<RunSpec, String> {
+    RunSpec::from_params(params).map_err(|e| e.to_string())
 }
 
 fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
@@ -298,7 +298,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
     Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
-fn print_summary(spec: &LensSpec, seed: u64, out: &ReplayOutcome) {
+fn print_summary(spec: &RunSpec, seed: u64, out: &ReplayOutcome) {
     let r = &out.report;
     println!(
         "replay: engine={} proto={} n={} seed={} slots={} winner={} resolved_at={} timed_out={}",

@@ -10,9 +10,10 @@
 //! arbitrarily heavier instrumentation attached than the original run
 //! paid for.
 //!
-//! * [`spec`] — the replayable run description ([`LensSpec`]): parses
-//!   both the `jle-sweepd` cache tree (`cohort_election`) and the lens's
-//!   extended `election_run` shape, and dispatches onto the exact,
+//! * [`spec`] — the replayable run description ([`RunSpec`]), re-exported
+//!   from `jle_protocols::spec`: the one strict grammar the experiments
+//!   key their cohort units with and `jle-sweepd` admits, plus the lens's
+//!   extended `election_run` shape, dispatched onto the exact,
 //!   fast-exact, faulty/churn, cohort, and multi-hop backends.
 //! * [`replay`](mod@replay) — the capture layer ([`ReplayObserver`]), bit-exact
 //!   [`divergence`] checking against [`jle_telemetry::FlightRecord`]
@@ -29,12 +30,12 @@
 #![warn(missing_docs)]
 
 pub mod replay;
-pub mod spec;
 pub mod tracecheck;
 
+pub use jle_protocols::spec;
 pub use replay::{
     diff, divergence, record, replay, DiffReport, Divergence, ReplayObserver, ReplayOutcome,
     Transition, MAX_CAPTURE, MAX_TRANSITIONS,
 };
-pub use spec::{parse_topology, EngineKind, LensSpec, ProtoSpec, SpecError};
+pub use spec::{parse_topology, EngineKind, ProtoSpec, RunSpec, SpecError};
 pub use tracecheck::{check_chrome_trace, TraceReport};

@@ -12,7 +12,7 @@
 //! recorded artifact is an event-for-event equality check, not a
 //! heuristic.
 
-use crate::spec::{LensSpec, SpecError};
+use crate::spec::{RunSpec, SpecError};
 use jle_engine::{RunReport, SlotActions, SlotObserver, StateProbe};
 use jle_radio::SlotTruth;
 use jle_telemetry::{FlightRecord, FlightRing, SlotEvent};
@@ -140,13 +140,13 @@ pub struct ReplayOutcome {
 /// Re-derive `spec` at `seed`, capturing the last `capture` slot events
 /// and (optionally) protocol state transitions.
 pub fn replay(
-    spec: &LensSpec,
+    spec: &RunSpec,
     seed: u64,
     capture: usize,
     want_probes: bool,
 ) -> Result<ReplayOutcome, SpecError> {
     let mut obs = ReplayObserver::new(capture, want_probes);
-    let report = spec.run(seed, &mut obs)?;
+    let report = spec.run_observed(seed, &mut obs)?;
     Ok(ReplayOutcome {
         slots_seen: obs.ring.total_pushed(),
         events: obs.ring.events(),
@@ -162,12 +162,12 @@ pub fn replay(
 /// own replay spec — the self-contained artifact `jle-lens record`
 /// writes and CI replays.
 pub fn record(
-    spec: &LensSpec,
+    spec: &RunSpec,
     seed: u64,
     tail: usize,
 ) -> Result<(FlightRecord, ReplayOutcome), SpecError> {
     let mut obs = ReplayObserver::new(tail, true);
-    let report = spec.run(seed, &mut obs)?;
+    let report = spec.run_observed(seed, &mut obs)?;
     let record = FlightRecord::new(jle_telemetry::AnomalyKind::Snapshot, seed, obs.ring())
         .with_replay_spec(spec.to_params())
         .with_detail("lens snapshot (healthy run, recorded for replay)")
@@ -286,9 +286,9 @@ impl DiffReport {
 }
 
 /// Replay the same trial on two specs (typically the same run
-/// re-targeted via [`LensSpec::with_engine`]) and pinpoint the first
+/// re-targeted via [`RunSpec::with_engine`]) and pinpoint the first
 /// diverging slot.
-pub fn diff(a: &LensSpec, b: &LensSpec, seed: u64) -> Result<DiffReport, SpecError> {
+pub fn diff(a: &RunSpec, b: &RunSpec, seed: u64) -> Result<DiffReport, SpecError> {
     let cap = a.max_slots.max(b.max_slots);
     if cap > MAX_CAPTURE as u64 {
         return Err(SpecError::Invalid(format!(

@@ -10,7 +10,7 @@
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_engine::{ChurnPlan, FaultPlan, RngDiscipline, StationFaults};
-use jle_lens::{diff, divergence, record, replay, Divergence, EngineKind, LensSpec};
+use jle_lens::{diff, divergence, record, replay, Divergence, EngineKind, RunSpec};
 use jle_radio::CdModel;
 use jle_telemetry::FlightRecord;
 use serde::{Deserialize, Serialize, Value};
@@ -35,7 +35,7 @@ fn run_params(engine: &str) -> Value {
 /// Record, serialize the artifact through JSON (as the CLI does), parse
 /// it back, replay from the embedded spec, and demand bit-exactness.
 fn assert_roundtrip(params: &Value, seed: u64) {
-    let spec = LensSpec::from_params(params).expect("spec parses");
+    let spec = RunSpec::from_params(params).expect("spec parses");
     let (rec, outcome) = record(&spec, seed, 64).expect("record runs");
     assert!(outcome.slots_seen > 0, "run played no slots");
     let text = serde_json::to_string_pretty(&rec).expect("artifact serializes");
@@ -44,7 +44,7 @@ fn assert_roundtrip(params: &Value, seed: u64) {
     )
     .expect("artifact deserializes");
     let respec =
-        LensSpec::from_params(rec.replay_spec.as_ref().expect("spec embedded")).expect("re-parses");
+        RunSpec::from_params(rec.replay_spec.as_ref().expect("spec embedded")).expect("re-parses");
     let capture = respec.max_slots.min(jle_lens::MAX_CAPTURE as u64) as usize;
     let out = replay(&respec, rec.seed, capture, true).expect("replay runs");
     assert_eq!(
@@ -121,7 +121,7 @@ fn multihop_cluster_roundtrip() {
 
 #[test]
 fn tampered_artifact_is_flagged_at_the_exact_slot() {
-    let spec = LensSpec::from_params(&run_params("exact")).unwrap();
+    let spec = RunSpec::from_params(&run_params("exact")).unwrap();
     let (mut rec, _) = record(&spec, 7, 64).unwrap();
     let mid = rec.events.len() / 2;
     rec.events[mid].transmitters += 1;
@@ -140,13 +140,13 @@ fn diff_reproduces_the_engine_identity_pairs() {
     // exact ≡ multihop(Complete, Shared); fast-exact ≡ multihop(Complete,
     // Counter) — the identities the multihop engine's own suite pins,
     // here rediscovered externally through the diff path.
-    let exact = LensSpec::from_params(&run_params("exact")).unwrap();
+    let exact = RunSpec::from_params(&run_params("exact")).unwrap();
     let mh_shared = exact.with_engine(EngineKind::Multihop, RngDiscipline::Shared).unwrap();
     let report = diff(&exact, &mh_shared, 7).unwrap();
     assert!(report.agree(), "exact vs multihop/shared diverged: {report:?}");
     assert!(report.compared > 0);
 
-    let fast = LensSpec::from_params(&run_params("fast-exact")).unwrap();
+    let fast = RunSpec::from_params(&run_params("fast-exact")).unwrap();
     let mh_counter = fast.with_engine(EngineKind::Multihop, RngDiscipline::Counter).unwrap();
     let report = diff(&fast, &mh_counter, 7).unwrap();
     assert!(report.agree(), "fast-exact vs multihop/counter diverged: {report:?}");
@@ -157,7 +157,7 @@ fn diff_localizes_genuine_backend_divergence() {
     // exact and fast-exact draw randomness in different disciplines, so
     // under a saturating jammer they part ways at some concrete slot;
     // diff must report a well-formed first divergence, never a panic.
-    let exact = LensSpec::from_params(&run_params("exact")).unwrap();
+    let exact = RunSpec::from_params(&run_params("exact")).unwrap();
     let fast = exact.with_engine(EngineKind::FastExact, RngDiscipline::Shared).unwrap();
     let report = diff(&exact, &fast, 7).unwrap();
     if let Some((a, b)) = report.first_divergence {
@@ -183,7 +183,7 @@ fn batch_produced_trials_replay_bit_exactly_via_fast_exact() {
     use jle_protocols::LeskProtocol;
 
     let params = run_params("batch");
-    let spec = LensSpec::from_params(&params).expect("batch spec parses");
+    let spec = RunSpec::from_params(&params).expect("batch spec parses");
     assert_eq!(spec.engine, EngineKind::Batch);
 
     let adv = AdversarySpec::from_json_value(&sat_adv()).unwrap();
@@ -216,7 +216,7 @@ fn sweepd_exact_election_tree_parses_onto_fast_exact() {
         "max_slots": 4_000u64,
         "proto": {"proto": "willard"},
     });
-    let spec = LensSpec::from_params(&params).expect("exact_election parses");
+    let spec = RunSpec::from_params(&params).expect("exact_election parses");
     assert_eq!(spec.engine, EngineKind::FastExact);
     assert_roundtrip(&params, 29);
 
@@ -225,7 +225,7 @@ fn sweepd_exact_election_tree_parses_onto_fast_exact() {
         m.push(("batch_width".into(), Value::U64(64)));
     }
     assert!(
-        LensSpec::from_params(&poisoned).is_err(),
+        RunSpec::from_params(&poisoned).is_err(),
         "unknown exact_election keys must be refused"
     );
 }
@@ -237,7 +237,7 @@ fn batch_engine_refuses_topology() {
     if let Value::Map(m) = &mut params {
         m.push(("topology".into(), Value::Str("dense-linear:4,2".into())));
     }
-    let err = LensSpec::from_params(&params).expect_err("topology on batch must fail");
+    let err = RunSpec::from_params(&params).expect_err("topology on batch must fail");
     assert!(err.to_string().contains("topology"), "unexpected error: {err}");
 }
 
@@ -249,7 +249,7 @@ fn committed_fixture_still_replays_bit_exactly() {
     let text = std::fs::read_to_string(path).expect("fixture present");
     let rec = FlightRecord::from_json_value(&serde_json::from_str::<Value>(&text).unwrap())
         .expect("fixture parses");
-    let spec = LensSpec::from_params(rec.replay_spec.as_ref().expect("fixture embeds its spec"))
+    let spec = RunSpec::from_params(rec.replay_spec.as_ref().expect("fixture embeds its spec"))
         .expect("fixture spec parses");
     let out = replay(&spec, rec.seed, spec.max_slots as usize, true).expect("replay runs");
     assert_eq!(divergence(&rec, &out), Divergence::None);

@@ -277,7 +277,7 @@ impl SweepClient {
                     return Err(ClientError::Rejected { reason, retry_after_ms });
                 }
                 ServerFrame::Error { id: got, reason } if got == id => {
-                    return Err(if reason.starts_with("unsupported work") {
+                    return Err(if reason.starts_with("unsupported") {
                         ClientError::Unsupported(reason)
                     } else {
                         ClientError::Protocol(reason)

@@ -42,6 +42,7 @@ pub mod server;
 pub mod work;
 
 pub use client::{ClientError, SweepClient, SweepOutcome};
+pub use jle_protocols::spec::SpecError;
 pub use protocol::{ClientFrame, ServerFrame, PROTOCOL_VERSION};
 pub use server::{Endpoint, ServerConfig, ServerHandle, SweepServer};
-pub use work::{build_trial_fn, is_supported, WorkError};
+pub use work::{build_trial_fn, is_supported};

@@ -890,6 +890,9 @@ impl Core {
                 // merged trace, its tail not observable by construction.
                 let deliver_span = job.tracer.span("sweepd", "deliver");
                 let spans = job.tracer.is_enabled().then(|| Arc::new(job.tracer.export_events()));
+                // Counted before delivery, so a client holding its result
+                // never scrapes the job as still unfinished.
+                self.m.jobs_completed.inc();
                 Job::send_to_subs(
                     &subs,
                     |req_id| ServerFrame::Result {
@@ -906,7 +909,6 @@ impl Core {
                 );
                 drop(deliver_span);
                 self.m.deliver_us.observe(delivered_at.elapsed().as_micros() as u64);
-                self.m.jobs_completed.inc();
             }
             Ok(Err(interrupted)) => {
                 let completed_trials = interrupted.completed_trials();

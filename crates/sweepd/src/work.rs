@@ -1,26 +1,23 @@
-//! Server-side work-kind registry: parameter tree → trial closure.
+//! Server-side work registry: parameter tree → trial closure.
 //!
 //! A submitted [`jle_orchestrator::WorkSpec`] carries only data; the
-//! closure that actually runs a trial must be reconstructed here from
-//! `spec.params`. The contract with the cache is absolute — the
-//! reconstructed closure must be **bit-identical in behaviour** to the
-//! one the bench CLIs run locally for the same tree, because both sides
-//! address the same [`jle_orchestrator::ResultStore`] entries.
+//! closure that runs a trial is rebuilt here from `spec.params` through
+//! the workspace's one run grammar, [`RunSpec`] (`jle_protocols::spec`).
+//! The experiments key their units with [`RunSpec::to_params`] and this
+//! registry executes [`RunSpec::from_params`] of the same tree, so a
+//! served unit is bit-identical to the local run that shares its
+//! [`jle_orchestrator::ResultStore`] entry.
 //!
-//! That is why parsing is deliberately strict: a parameter tree with an
-//! unknown key (e.g. an experiment's private warm-start knob riding in
-//! `proto`) is rejected as [`WorkError::Unsupported`] instead of being
-//! ignored. Ignoring it would compute *something* under a fingerprint
-//! that promises something else — silent cache poisoning. Clients fall
-//! back to local computation for unsupported trees.
+//! The service runs two kinds: `cohort_election` and `exact_election`
+//! (the latter through the batched backend when [`build_batch_fn`]
+//! allows). Parsing is strict — an unknown key is
+//! [`SpecError::Unsupported`], never ignored, and an out-of-range value
+//! is [`SpecError::Invalid`] at admission — and clients fall back to
+//! local computation for unsupported trees.
 
-use jle_adversary::AdversarySpec;
-use jle_engine::{
-    run_batch_uniform, run_cohort, run_fast_exact, PerStation, Protocol, RunReport, SimConfig,
-};
-use jle_protocols::{BackoffProtocol, LeskProtocol, LesuProtocol, WillardProtocol};
-use jle_radio::CdModel;
-use serde::{Deserialize, Value};
+use jle_engine::RunReport;
+use jle_protocols::spec::{RunSpec, SpecError};
+use serde::Value;
 
 /// A reconstructed per-trial closure: seed → report.
 pub type TrialFn = Box<dyn Fn(u64) -> RunReport + Send + Sync>;
@@ -31,244 +28,52 @@ pub type TrialFn = Box<dyn Fn(u64) -> RunReport + Send + Sync>;
 /// chunks share cache entries with per-trial ones.
 pub type BatchFn = Box<dyn Fn(&[u64]) -> Vec<RunReport> + Send + Sync>;
 
-/// Why a parameter tree could not be turned into runnable work.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WorkError {
-    /// The tree is well-formed but names work this server cannot
-    /// faithfully reconstruct (unknown kind, unknown protocol, or an
-    /// unrecognized key that may change behaviour). Clients should
-    /// compute locally.
-    Unsupported(String),
-    /// The tree is malformed (missing/ill-typed required fields).
-    Invalid(String),
-}
-
-impl std::fmt::Display for WorkError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WorkError::Unsupported(msg) => write!(f, "unsupported work: {msg}"),
-            WorkError::Invalid(msg) => write!(f, "invalid work: {msg}"),
-        }
+/// Parse a tree of a kind this service runs. `election_run` trees are
+/// the lens's replay superset and stay local.
+fn parse(params: &Value) -> Result<RunSpec, SpecError> {
+    if params.get("kind").and_then(Value::as_str) == Some("election_run") {
+        return Err(SpecError::Unsupported("election_run trees are replayed, not served".into()));
     }
-}
-
-impl std::error::Error for WorkError {}
-
-fn keys_of(v: &Value) -> Vec<&str> {
-    v.as_map().map(|m| m.iter().map(|(k, _)| k.as_str()).collect()).unwrap_or_default()
-}
-
-fn check_keys(v: &Value, what: &str, allowed: &[&str]) -> Result<(), WorkError> {
-    for k in keys_of(v) {
-        if !allowed.contains(&k) {
-            return Err(WorkError::Unsupported(format!(
-                "{what}: unrecognized key `{k}` (server cannot guarantee faithful reconstruction)"
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn req_u64(v: &Value, k: &str, what: &str) -> Result<u64, WorkError> {
-    v.get(k)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| WorkError::Invalid(format!("{what}: missing u64 `{k}`")))
-}
-
-fn req_f64(v: &Value, k: &str, what: &str) -> Result<f64, WorkError> {
-    v.get(k)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| WorkError::Invalid(format!("{what}: missing f64 `{k}`")))
-}
-
-/// The uniform election protocols both election kinds share; the small
-/// closed set keeps reconstruction honest (anything else is
-/// [`WorkError::Unsupported`]).
-#[derive(Debug, Clone, Copy)]
-enum ElectionProto {
-    Lesk(f64),
-    Lesu,
-    Backoff,
-    Willard,
-}
-
-/// The common election parameter tree: fields `n`, `cd`, `adv`,
-/// `max_slots`, and a `proto` subtree naming one uniform protocol.
-fn parse_election(
-    params: &Value,
-    what: &str,
-) -> Result<(SimConfig, AdversarySpec, ElectionProto), WorkError> {
-    check_keys(params, what, &["kind", "n", "cd", "adv", "max_slots", "proto"])?;
-
-    let n = req_u64(params, "n", what)?;
-    let max_slots = req_u64(params, "max_slots", what)?;
-    let cd_value =
-        params.get("cd").ok_or_else(|| WorkError::Invalid(format!("{what}: missing `cd`")))?;
-    let cd = CdModel::from_json_value(cd_value)
-        .map_err(|e| WorkError::Invalid(format!("{what}: bad `cd`: {e}")))?;
-    let adv_value =
-        params.get("adv").ok_or_else(|| WorkError::Invalid(format!("{what}: missing `adv`")))?;
-    let adv = AdversarySpec::from_json_value(adv_value)
-        .map_err(|e| WorkError::Invalid(format!("{what}: bad `adv`: {e}")))?;
-    let proto = params
-        .get("proto")
-        .ok_or_else(|| WorkError::Invalid(format!("{what}: missing `proto`")))?;
-    let name = proto
-        .get("proto")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WorkError::Invalid("proto: missing string `proto`".into()))?;
-    let proto = match name {
-        "lesk" => {
-            check_keys(proto, "proto:lesk", &["proto", "eps"])?;
-            ElectionProto::Lesk(req_f64(proto, "eps", "proto:lesk")?)
-        }
-        "lesu" => {
-            check_keys(proto, "proto:lesu", &["proto"])?;
-            ElectionProto::Lesu
-        }
-        "backoff" => {
-            check_keys(proto, "proto:backoff", &["proto"])?;
-            ElectionProto::Backoff
-        }
-        "willard" => {
-            check_keys(proto, "proto:willard", &["proto"])?;
-            ElectionProto::Willard
-        }
-        other => {
-            return Err(WorkError::Unsupported(format!("unknown election protocol `{other}`")))
-        }
-    };
-    Ok((SimConfig::new(n, cd).with_max_slots(max_slots), adv, proto))
-}
-
-fn station_factory(proto: ElectionProto) -> impl Fn(u64) -> Box<dyn Protocol> {
-    move |_| match proto {
-        ElectionProto::Lesk(eps) => Box::new(PerStation::new(LeskProtocol::new(eps))),
-        ElectionProto::Lesu => Box::new(PerStation::new(LesuProtocol::new())),
-        ElectionProto::Backoff => Box::new(PerStation::new(BackoffProtocol::new())),
-        ElectionProto::Willard => Box::new(PerStation::new(WillardProtocol::new())),
-    }
+    RunSpec::from_params(params)
 }
 
 /// Turn a submitted parameter tree into a runnable trial closure.
-///
-/// Supported kinds, both over the election parameter tree (`n`, `cd`,
-/// `adv`, `max_slots`, `proto`):
-///
-/// * `kind == "cohort_election"` — the O(1)-per-slot cohort engine, as
-///   produced by `jle_bench::election_params`.
-/// * `kind == "exact_election"` — the same protocol run per-station
-///   through the fast-exact engine ([`run_fast_exact`] over
-///   [`PerStation`]); eligible for batched execution via
-///   [`build_batch_fn`].
-///
-/// The `proto` subtree names one of the uniform protocols:
-///
-/// * `{"proto": "lesk", "eps": ε}` — [`LeskProtocol::new`]
-/// * `{"proto": "lesu"}` — [`LesuProtocol::new`]
-/// * `{"proto": "backoff"}` — [`BackoffProtocol::new`]
-/// * `{"proto": "willard"}` — [`WillardProtocol::new`]
-///
-/// Any extra key anywhere in the tree is [`WorkError::Unsupported`].
-pub fn build_trial_fn(params: &Value) -> Result<TrialFn, WorkError> {
-    let kind = params
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WorkError::Invalid("params: missing string `kind`".into()))?;
-    match kind {
-        "cohort_election" => {
-            let (config, adv, proto) = parse_election(params, "cohort_election")?;
-            Ok(match proto {
-                ElectionProto::Lesk(eps) => Box::new(move |seed| {
-                    run_cohort(&config.clone().with_seed(seed), &adv, || LeskProtocol::new(eps))
-                }),
-                ElectionProto::Lesu => Box::new(move |seed| {
-                    run_cohort(&config.clone().with_seed(seed), &adv, LesuProtocol::new)
-                }),
-                ElectionProto::Backoff => Box::new(move |seed| {
-                    run_cohort(&config.clone().with_seed(seed), &adv, BackoffProtocol::new)
-                }),
-                ElectionProto::Willard => Box::new(move |seed| {
-                    run_cohort(&config.clone().with_seed(seed), &adv, WillardProtocol::new)
-                }),
-            })
-        }
-        "exact_election" => {
-            let (config, adv, proto) = parse_election(params, "exact_election")?;
-            Ok(Box::new(move |seed| {
-                run_fast_exact(&config.clone().with_seed(seed), &adv, station_factory(proto))
-            }))
-        }
-        other => Err(WorkError::Unsupported(format!("unknown work kind `{other}`"))),
-    }
+pub fn build_trial_fn(params: &Value) -> Result<TrialFn, SpecError> {
+    let spec = parse(params)?;
+    Ok(Box::new(move |seed| spec.run(seed).expect("single-channel specs always run")))
 }
 
-/// Turn a parameter tree into a batch closure, when the kind has a
-/// batch backend whose per-trial output is bit-identical to its
-/// [`TrialFn`].
-///
-/// Only `kind == "exact_election"` qualifies today: its per-trial path is
-/// the fast-exact engine, and `jle_engine::run_batch_uniform` is
-/// bit-identical to it, so batched chunks and per-trial chunks address
-/// the same cache entries. `cohort_election` is deliberately refused —
-/// cohort bits are *not* fast-exact bits, and routing them through the
-/// batch backend would cache different results under the same
-/// fingerprint (silent poisoning).
-pub fn build_batch_fn(params: &Value) -> Result<BatchFn, WorkError> {
-    let kind = params
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WorkError::Invalid("params: missing string `kind`".into()))?;
-    match kind {
-        "exact_election" => {
-            let (config, adv, proto) = parse_election(params, "exact_election")?;
-            Ok(match proto {
-                ElectionProto::Lesk(eps) => Box::new(move |seeds: &[u64]| {
-                    run_batch_uniform(&config, &adv, seeds, || LeskProtocol::new(eps))
-                }),
-                ElectionProto::Lesu => Box::new(move |seeds: &[u64]| {
-                    run_batch_uniform(&config, &adv, seeds, LesuProtocol::new)
-                }),
-                ElectionProto::Backoff => Box::new(move |seeds: &[u64]| {
-                    run_batch_uniform(&config, &adv, seeds, BackoffProtocol::new)
-                }),
-                ElectionProto::Willard => Box::new(move |seeds: &[u64]| {
-                    run_batch_uniform(&config, &adv, seeds, WillardProtocol::new)
-                }),
-            })
-        }
-        "cohort_election" => Err(WorkError::Unsupported(
-            "cohort_election has no batch backend: cohort bits are not fast-exact bits, and \
-             aliasing them would poison the shared cache"
-                .into(),
-        )),
-        other => Err(WorkError::Unsupported(format!("unknown work kind `{other}`"))),
-    }
+/// Turn a parameter tree into a batch closure, when the kind has a batch
+/// backend whose per-trial output is bit-identical to its [`TrialFn`]:
+/// `exact_election` only ([`RunSpec::check_batchable`]). `cohort_election` is
+/// refused — cohort bits are not fast-exact bits.
+pub fn build_batch_fn(params: &Value) -> Result<BatchFn, SpecError> {
+    let spec = parse(params)?;
+    spec.check_batchable()?;
+    Ok(Box::new(move |seeds| spec.run_batch(seeds).expect("batchable: checked at build")))
 }
 
-/// The orchestrator engine-mode tag under which a tree's results are
-/// cached. `exact_election` results live under the `fast-exact` salt —
-/// whether computed per-trial or batched, the bits are the fast-exact
-/// engine's, so both routes share warm caches with fast-exact sweeps.
-/// Everything else stays on the default salt, leaving existing cohort
-/// caches untouched.
+/// The orchestrator engine-mode tag a tree's results are cached under:
+/// [`jle_protocols::EngineKind::cache_tag`] of its engine (`fast-exact`
+/// for `exact_election`, the default `exact` otherwise).
 pub fn engine_mode_of(params: &Value) -> &'static str {
-    match params.get("kind").and_then(Value::as_str) {
-        Some("exact_election") => "fast-exact",
-        _ => "exact",
-    }
+    parse(params).map_or("exact", |spec| spec.engine.cache_tag())
 }
 
 /// Whether a parameter tree names work this server type can execute —
 /// the client-side routing predicate behind the bench CLIs' `--server`
 /// mode (supported trees go to the service, the rest run locally).
 pub fn is_supported(params: &Value) -> bool {
-    build_trial_fn(params).is_ok()
+    parse(params).is_ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jle_adversary::AdversarySpec;
+    use jle_engine::{run_cohort, SimConfig};
+    use jle_protocols::LeskProtocol;
+    use jle_radio::CdModel;
     use serde::Serialize;
     use serde_json::json;
 
@@ -307,6 +112,9 @@ mod tests {
             json!({"proto": "lesu"}),
             json!({"proto": "backoff"}),
             json!({"proto": "willard"}),
+            json!({"proto": "lesk", "eps": 0.3f64, "u0": 4.5f64}),
+            json!({"proto": "lesk", "eps": 0.3f64, "divisor": 2.0f64, "u0": 0.0f64}),
+            json!({"proto": "arss", "gamma": 0.25f64}),
         ] {
             let p = params(proto.clone());
             assert!(is_supported(&p), "{proto:?}");
@@ -318,15 +126,15 @@ mod tests {
 
     #[test]
     fn unknown_keys_are_unsupported_not_ignored() {
-        // A warm-start knob the server does not know must not be
-        // silently dropped — that would poison the shared cache.
-        let p = params(json!({"proto": "lesk", "eps": 0.5f64, "u0": 6u64}));
-        assert!(matches!(build_trial_fn(&p), Err(WorkError::Unsupported(_))));
+        // A knob the server does not know must not be silently
+        // dropped — that would poison the shared cache.
+        let p = params(json!({"proto": "lesk", "eps": 0.5f64, "warm_start": 6u64}));
+        assert!(matches!(build_trial_fn(&p), Err(SpecError::Unsupported(_))));
         let mut top = params(json!({"proto": "lesu"}));
         if let Value::Map(m) = &mut top {
             m.push(("faults".into(), json!({"crash": 1u64})));
         }
-        assert!(matches!(build_trial_fn(&top), Err(WorkError::Unsupported(_))));
+        assert!(matches!(build_trial_fn(&top), Err(SpecError::Unsupported(_))));
     }
 
     fn exact_params(proto: Value) -> Value {
@@ -350,6 +158,9 @@ mod tests {
             json!({"proto": "lesu"}),
             json!({"proto": "backoff"}),
             json!({"proto": "willard"}),
+            json!({"proto": "lesk", "eps": 0.3f64, "u0": 4.5f64}),
+            json!({"proto": "lesk", "eps": 0.3f64, "divisor": 2.0f64, "u0": 0.0f64}),
+            json!({"proto": "arss", "gamma": 0.25f64}),
         ] {
             let p = exact_params(proto.clone());
             assert!(is_supported(&p), "{proto:?}");
@@ -373,31 +184,50 @@ mod tests {
         // Cohort bits are not fast-exact bits; offering them a batch
         // path would cache wrong results under the cohort fingerprint.
         let p = params(json!({"proto": "lesu"}));
-        assert!(matches!(build_batch_fn(&p), Err(WorkError::Unsupported(_))));
+        assert!(matches!(build_batch_fn(&p), Err(SpecError::Unsupported(_))));
         assert_eq!(engine_mode_of(&p), "exact", "cohort caches keep their existing salt");
         assert_eq!(engine_mode_of(&exact_params(json!({"proto": "lesu"}))), "fast-exact");
     }
 
     #[test]
     fn exact_election_rejects_unknown_keys_like_cohort_does() {
-        let p = exact_params(json!({"proto": "lesk", "eps": 0.5f64, "u0": 6u64}));
-        assert!(matches!(build_trial_fn(&p), Err(WorkError::Unsupported(_))));
-        assert!(matches!(build_batch_fn(&p), Err(WorkError::Unsupported(_))));
+        let p = exact_params(json!({"proto": "lesk", "eps": 0.5f64, "warm_start": 6u64}));
+        assert!(matches!(build_trial_fn(&p), Err(SpecError::Unsupported(_))));
+        assert!(matches!(build_batch_fn(&p), Err(SpecError::Unsupported(_))));
     }
 
     #[test]
     fn malformed_trees_are_invalid() {
         assert!(matches!(
             build_trial_fn(&json!({"kind": "cohort_election"})),
-            Err(WorkError::Invalid(_))
+            Err(SpecError::Invalid(_))
         ));
         assert!(matches!(
             build_trial_fn(&json!({"kind": "estimation"})),
-            Err(WorkError::Unsupported(_))
+            Err(SpecError::Unsupported(_))
         ));
         assert!(matches!(
-            build_trial_fn(&params(json!({"proto": "arss"}))),
-            Err(WorkError::Unsupported(_))
+            build_trial_fn(&params(json!({"proto": "aloha"}))),
+            Err(SpecError::Unsupported(_))
         ));
+        // Values the protocol constructors or the engine would panic on
+        // are refused at admission instead of costing a worker.
+        let mut zero_n = params(json!({"proto": "lesu"}));
+        if let Value::Map(m) = &mut zero_n {
+            m.retain(|(k, _)| k != "n");
+            m.push(("n".into(), Value::U64(0)));
+        }
+        for p in [
+            zero_n,
+            params(json!({"proto": "arss"})),
+            params(json!({"proto": "lesk", "eps": 1.5f64})),
+            params(json!({"proto": "lesk", "eps": 0.0f64})),
+            params(json!({"proto": "lesk", "eps": 0.5f64, "divisor": 0.0f64})),
+            params(json!({"proto": "lesk", "eps": 0.5f64, "divisor": f64::NAN})),
+            params(json!({"proto": "arss", "gamma": 0.0f64})),
+            params(json!({"proto": "arss", "gamma": 1.5f64})),
+        ] {
+            assert!(matches!(build_trial_fn(&p), Err(SpecError::Invalid(_))), "{p:?}");
+        }
     }
 }

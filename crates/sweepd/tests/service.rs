@@ -249,16 +249,16 @@ fn warm_resubmit_is_a_unit_cache_hit() {
 fn unsupported_work_is_refused_not_guessed() {
     let (handle, endpoint, cache) = start("unsupported", |_| {});
     let mut client = SweepClient::connect(&endpoint).unwrap();
-    // A warm-start knob the server does not know: refusing it is what
-    // protects the shared cache from a wrong reconstruction.
+    // A knob the server does not know: refusing it is what protects the
+    // shared cache from a wrong reconstruction.
     let mut params = election_params(32, 50_000, &AdversarySpec::passive(), 0.5);
     if let serde::Value::Map(m) = &mut params {
         let proto = m.iter_mut().find(|(k, _)| k == "proto").unwrap();
         if let serde::Value::Map(p) = &mut proto.1 {
-            p.push(("u0".into(), serde::Value::U64(6)));
+            p.push(("warm_start".into(), serde::Value::U64(6)));
         }
     }
-    let err = client.submit(&WorkSpec::new("svc", "u0", params, 5), 4).unwrap_err();
+    let err = client.submit(&WorkSpec::new("svc", "warm_start", params, 5), 4).unwrap_err();
     assert!(matches!(err, ClientError::Unsupported(_)), "{err:?}");
     handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(cache);
