@@ -24,7 +24,6 @@ pub struct AdaptiveEstimatorJammer {
     increment: f64,
     band: f64,
     u: f64,
-    initial_u: f64,
     slots_seen: u64,
 }
 
@@ -44,7 +43,6 @@ impl AdaptiveEstimatorJammer {
             increment: protocol_eps / 8.0,
             band,
             u: initial_u.max(0.0),
-            initial_u: initial_u.max(0.0),
             slots_seen: 0,
         }
     }
@@ -87,11 +85,6 @@ impl JamStrategy for AdaptiveEstimatorJammer {
     ) -> bool {
         self.catch_up(history);
         (self.u - self.log2_n).abs() <= self.band
-    }
-
-    fn reset(&mut self) {
-        self.u = self.initial_u;
-        self.slots_seen = 0;
     }
 }
 
@@ -140,18 +133,5 @@ mod tests {
         }
         assert!(!fired_before_band, "must save budget below the band");
         assert!(fired_in_band, "must spend budget inside the band");
-    }
-
-    #[test]
-    fn reset_clears_mirror() {
-        let mut s = AdaptiveEstimatorJammer::new(16, 0.5, 1.0);
-        let b = JamBudget::new(Rate::from_f64(0.5), 8);
-        let mut rng = SmallRng::seed_from_u64(5);
-        let mut h = ChannelHistory::new(64);
-        h.push(&SlotTruth::new(3, false));
-        s.decide(&h, &b, &mut rng);
-        assert!(s.mirrored_u() > 0.0);
-        s.reset();
-        assert_eq!(s.mirrored_u(), 0.0);
     }
 }

@@ -40,12 +40,6 @@ impl JamStrategy for PhasedJammer {
             None => false,
         }
     }
-
-    fn reset(&mut self) {
-        for (_, s) in &mut self.phases {
-            s.reset();
-        }
-    }
 }
 
 #[cfg(test)]

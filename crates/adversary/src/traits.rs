@@ -25,9 +25,6 @@ pub trait JamStrategy: Send {
         budget: &JamBudget,
         rng: &mut dyn RngCore,
     ) -> bool;
-
-    /// Reset internal state for a fresh run.
-    fn reset(&mut self) {}
 }
 
 /// Serializable description of an adversary: budget parameters plus a

@@ -1,18 +1,14 @@
 //! Criterion: per-slot simulation cost — cohort (n-independent) vs exact
 //! (O(n) per slot). Counterpart of experiment E15(b).
 //!
-//! Each engine is measured twice: `fresh` allocates every run (the plain
-//! `run_*` shims), `arena` reuses one [`SimArena`] across iterations
-//! (`run_*_in`). The arena must be no slower on the cohort engine (it has
-//! almost nothing to reuse) and faster on the exact engine, whose per-run
-//! station/buffer allocations the arena amortizes away.
+//! Every arm runs the plain `run_*` entry points, which build each run's
+//! stations and buffers fresh — the path every Monte-Carlo trial takes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_engine::{
-    run_batch_uniform, run_cohort, run_cohort_in, run_exact, run_exact_in, run_fast_exact,
-    run_fast_exact_in, CohortStations, EngineMetrics, PerStation, SimArena, SimConfig, SimCore,
-    TelemetryObserver, UniformProtocol,
+    run_batch_uniform, run_cohort, run_exact, run_fast_exact, CohortStations, EngineMetrics,
+    PerStation, SimConfig, SimCore, TelemetryObserver, UniformProtocol,
 };
 use jle_radio::{CdModel, ChannelState};
 use jle_telemetry::MetricRegistry;
@@ -26,9 +22,6 @@ impl UniformProtocol for AlwaysCollide {
         1.0
     }
     fn on_state(&mut self, _: u64, _: ChannelState) {}
-    fn reset(&mut self) -> bool {
-        true // stateless: the arena can recycle the station boxes
-    }
 }
 
 fn sat() -> AdversarySpec {
@@ -48,14 +41,6 @@ fn bench_cohort(c: &mut Criterion) {
                 black_box(run_cohort(&config, &adv, || AlwaysCollide))
             })
         });
-        group.bench_with_input(BenchmarkId::new("arena", n), &n, |b, &n| {
-            let adv = sat();
-            let mut arena = SimArena::new();
-            b.iter(|| {
-                let config = SimConfig::new(n, CdModel::Strong).with_seed(7).with_max_slots(SLOTS);
-                black_box(run_cohort_in(&config, &adv, || AlwaysCollide, &mut arena))
-            })
-        });
     }
     group.finish();
 }
@@ -73,19 +58,6 @@ fn bench_exact(c: &mut Criterion) {
                 black_box(run_exact(&config, &adv, |_| Box::new(PerStation::new(AlwaysCollide))))
             })
         });
-        group.bench_with_input(BenchmarkId::new("arena", n), &n, |b, &n| {
-            let adv = sat();
-            let mut arena = SimArena::new();
-            b.iter(|| {
-                let config = SimConfig::new(n, CdModel::Strong).with_seed(7).with_max_slots(SLOTS);
-                black_box(run_exact_in(
-                    &config,
-                    &adv,
-                    |_| Box::new(PerStation::new(AlwaysCollide)),
-                    &mut arena,
-                ))
-            })
-        });
     }
     group.finish();
 }
@@ -95,10 +67,7 @@ fn bench_exact_short(c: &mut Criterion) {
     // so Monte-Carlo loops run *short* exact simulations back to back and
     // per-run setup — n station boxes allocated, initialized, and dropped,
     // plus the flag buffers and history ring — is a real fraction of the
-    // work. This is the regime the arena exists for: `AlwaysCollide` is
-    // resettable, so the arena arm recycles every station box in place
-    // (allocation-free steady state). The long-run groups above only have
-    // to show the arena is never slower.
+    // work.
     let mut group = c.benchmark_group("exact_short_runs");
     const SLOTS: u64 = 16;
     group.sample_size(30);
@@ -110,19 +79,6 @@ fn bench_exact_short(c: &mut Criterion) {
             b.iter(|| {
                 let config = SimConfig::new(n, CdModel::Strong).with_seed(7).with_max_slots(SLOTS);
                 black_box(run_exact(&config, &adv, |_| Box::new(PerStation::new(AlwaysCollide))))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("arena", n), &n, |b, &n| {
-            let adv = sat();
-            let mut arena = SimArena::new();
-            b.iter(|| {
-                let config = SimConfig::new(n, CdModel::Strong).with_seed(7).with_max_slots(SLOTS);
-                black_box(run_exact_in(
-                    &config,
-                    &adv,
-                    |_| Box::new(PerStation::new(AlwaysCollide)),
-                    &mut arena,
-                ))
             })
         });
         // The bitset fast path on the same short-run workload: the
@@ -238,14 +194,6 @@ fn bench_fast_exact(c: &mut Criterion) {
             b.iter(|| {
                 let config = SimConfig::new(n, CdModel::Strong).with_seed(7).with_max_slots(SLOTS);
                 black_box(run_fast_exact(&config, &adv, factory))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("fast_arena", n), &n, |b, &n| {
-            let adv = sat();
-            let mut arena = SimArena::new();
-            b.iter(|| {
-                let config = SimConfig::new(n, CdModel::Strong).with_seed(7).with_max_slots(SLOTS);
-                black_box(run_fast_exact_in(&config, &adv, factory, &mut arena))
             })
         });
     }

@@ -24,8 +24,9 @@
 //! `results/<id>.csv` (one CSV per table, suffixed when multiple).
 
 use jle_bench::experiments::{run_by_id, ALL_IDS};
-use jle_bench::{EngineMode, ExpContext, ExperimentResult};
+use jle_bench::{ExpContext, ExperimentResult};
 use jle_orchestrator::{CachePolicy, Event, JsonlReporter, Orchestrator, StderrProgress};
+use jle_protocols::EngineKind;
 use jle_telemetry::{FlightRecorder, MetricRegistry, SpanRecorder};
 use std::fs;
 use std::path::Path;
@@ -93,7 +94,7 @@ struct Cli {
     metrics_out: Option<String>,
     trace_out: Option<String>,
     flight_dir: Option<String>,
-    engine: EngineMode,
+    engine: EngineKind,
     server: Option<String>,
     ids: Vec<String>,
 }
@@ -111,7 +112,7 @@ fn parse_args(args: &[String]) -> Cli {
         metrics_out: None,
         trace_out: None,
         flight_dir: None,
-        engine: EngineMode::default(),
+        engine: EngineKind::Exact,
         server: None,
         ids: Vec::new(),
     };
@@ -146,10 +147,12 @@ fn parse_args(args: &[String]) -> Cli {
             "--flight-recorder" => cli.flight_dir = Some(value("--flight-recorder")),
             "--engine" => {
                 let v = value("--engine");
-                cli.engine = EngineMode::parse(&v).unwrap_or_else(|| {
-                    eprintln!("error: --engine expects exact | fast-exact | batch, got {v:?}");
-                    std::process::exit(2);
-                });
+                cli.engine = EngineKind::parse(&v)
+                    .filter(|e| !matches!(e, EngineKind::Cohort | EngineKind::Multihop))
+                    .unwrap_or_else(|| {
+                        eprintln!("error: --engine expects exact | fast-exact | batch, got {v:?}");
+                        std::process::exit(2);
+                    });
             }
             "--server" => cli.server = Some(value("--server")),
             "--help" | "-h" => usage(),

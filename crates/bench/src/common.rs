@@ -83,57 +83,6 @@ pub fn saturating(eps: f64, t_window: u64) -> AdversarySpec {
     AdversarySpec::new(Rate::from_f64(eps), t_window, JamStrategyKind::Saturating)
 }
 
-/// Which exact backend simulates `Protocol`-level (per-station)
-/// experiments. Selected by the experiments CLI via `--engine`.
-///
-/// The two backends sample the same election laws from unrelated random
-/// streams (statistically equivalent, bit-different), so the mode is also
-/// folded into orchestrator cache keys — see
-/// [`jle_orchestrator::Orchestrator::engine_mode`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// The legacy backend: every station stepped every slot
-    /// ([`jle_engine::run_exact`]).
-    #[default]
-    Exact,
-    /// The active-set backend with counter-based per-station streams
-    /// ([`jle_engine::run_fast_exact`]): O(awake) per slot.
-    FastExact,
-    /// The batched SoA lockstep backend
-    /// ([`jle_engine::run_batch_exact`]): bit-identical per trial to
-    /// [`EngineMode::FastExact`] (DESIGN.md §17), so it shares the
-    /// fast-exact cache tag instead of carrying its own.
-    Batch,
-}
-
-impl EngineMode {
-    /// Parse the CLI spelling (`exact` | `fast-exact` | `batch`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "exact" => Some(EngineMode::Exact),
-            "fast-exact" => Some(EngineMode::FastExact),
-            "batch" => Some(EngineMode::Batch),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineMode::Exact => "exact",
-            EngineMode::FastExact => "fast-exact",
-            EngineMode::Batch => "batch",
-        }
-    }
-
-    /// The cache-key tag ([`jle_orchestrator::Orchestrator::engine_mode`]):
-    /// the same engine's [`EngineKind::cache_tag`], so `Batch` aliases the
-    /// fast-exact salt here exactly as it does for sweepd.
-    pub fn cache_tag(self) -> &'static str {
-        EngineKind::parse(self.label()).expect("every mode names an engine").cache_tag()
-    }
-}
-
 /// Everything an experiment needs at run time: the `--quick` flag plus the
 /// orchestrator all Monte-Carlo work is submitted through. Experiments
 /// never call [`jle_engine::MonteCarlo`] directly anymore — routing
@@ -145,14 +94,14 @@ pub struct ExpContext {
     pub quick: bool,
     orch: Arc<Orchestrator>,
     flight: Option<Arc<FlightRecorder>>,
-    engine: EngineMode,
+    engine: EngineKind,
     server: Option<Arc<Mutex<SweepClient>>>,
 }
 
 impl ExpContext {
     /// A context submitting work through `orch`.
     pub fn new(quick: bool, orch: Arc<Orchestrator>) -> Self {
-        ExpContext { quick, orch, flight: None, engine: EngineMode::default(), server: None }
+        ExpContext { quick, orch, flight: None, engine: EngineKind::Exact, server: None }
     }
 
     /// A context with no cache and no reporters — unit tests and doc
@@ -175,18 +124,21 @@ impl ExpContext {
         self.flight.as_ref()
     }
 
-    /// Builder: select the exact backend per-station experiments run on.
+    /// Builder: select the per-station backend experiments run on:
+    /// [`EngineKind::Exact`] (the default), [`EngineKind::FastExact`], or
+    /// [`EngineKind::Batch`].
     ///
     /// The caller is responsible for tagging the orchestrator's cache
-    /// keys to match ([`jle_orchestrator::Orchestrator::engine_mode`]) —
-    /// the experiments CLI does both from the one `--engine` flag.
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
+    /// keys to match ([`EngineKind::cache_tag`] into
+    /// [`jle_orchestrator::Orchestrator::engine_mode`]) — the experiments
+    /// CLI does both from the one `--engine` flag.
+    pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
         self
     }
 
-    /// The selected exact backend.
-    pub fn engine(&self) -> EngineMode {
+    /// The selected per-station backend.
+    pub fn engine(&self) -> EngineKind {
         self.engine
     }
 
@@ -225,7 +177,11 @@ impl ExpContext {
         }
     }
 
-    /// Run one per-station election on the selected exact backend.
+    /// Run one per-station election on the selected backend.
+    ///
+    /// # Panics
+    /// Panics when the selected engine is [`EngineKind::Cohort`] or
+    /// [`EngineKind::Multihop`], which do not run per-station factories.
     pub fn exact_election(
         &self,
         config: &SimConfig,
@@ -233,17 +189,20 @@ impl ExpContext {
         factory: impl FnMut(u64) -> Box<dyn Protocol>,
     ) -> RunReport {
         match self.engine {
-            EngineMode::Exact => run_exact(config, adv, factory),
-            EngineMode::FastExact => run_fast_exact(config, adv, factory),
+            EngineKind::Exact => run_exact(config, adv, factory),
+            EngineKind::FastExact => run_fast_exact(config, adv, factory),
             // A width-1 batch: the per-trial seed authority is the
             // explicit slice, which here is the config's own seed.
-            EngineMode::Batch => {
+            EngineKind::Batch => {
                 let mut factory = factory;
                 run_batch_exact_with(config, adv, &[config.seed], |_trial, station| {
                     factory(station)
                 })
                 .pop()
                 .expect("one seed yields one report")
+            }
+            EngineKind::Cohort | EngineKind::Multihop => {
+                panic!("{} is not a per-station backend", self.engine.label())
             }
         }
     }

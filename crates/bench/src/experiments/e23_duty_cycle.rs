@@ -107,7 +107,8 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
 
 #[cfg(test)]
 mod tests {
-    use crate::common::{EngineMode, ExpContext};
+    use crate::common::ExpContext;
+    use jle_protocols::EngineKind;
 
     #[test]
     fn quick_run_is_consistent() {
@@ -118,7 +119,7 @@ mod tests {
 
     #[test]
     fn quick_run_works_on_the_fast_backend() {
-        let ctx = ExpContext::ephemeral(true).with_engine(EngineMode::FastExact);
+        let ctx = ExpContext::ephemeral(true).with_engine(EngineKind::FastExact);
         let r = super::run(&ctx);
         assert_eq!(r.tables.len(), 2, "same sweep shape through the active-set backend");
     }

@@ -615,7 +615,7 @@ mod tests {
     use jle_radio::CdModel;
 
     /// Uniform fixed-probability protocol with state-update counters, so
-    /// identity checks cover the `on_state` path, plus a working reset.
+    /// identity checks cover the `on_state` path.
     #[derive(Debug, Clone)]
     struct Fixed {
         p: f64,

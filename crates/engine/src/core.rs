@@ -44,7 +44,6 @@
 
 use crate::config::{SimConfig, StopRule};
 use crate::observer::{EnergyObserver, SlotObserver, StateProbe, TraceObserver};
-use crate::protocol::Protocol;
 use crate::report::RunReport;
 use jle_adversary::{AdversarySpec, JamBudget, JamStrategy, Rate};
 use jle_radio::{ChannelHistory, HistoryView, SlotTruth, Trace};
@@ -69,37 +68,16 @@ pub(crate) fn trace_capacity(config: &SimConfig) -> usize {
 /// `memset` over `⌈n/32⌉` words per slot ([`SlotFlags::begin_slot`])
 /// instead of two O(n) byte fills, and both flags for a station land on
 /// the same cache line. Used by [`crate::ExactStations`] (and therefore
-/// by the [`crate::FaultyStations`] overlay on it) and reusable across
-/// runs through [`SimArena`].
-#[derive(Debug, Clone, Default)]
-pub struct SlotFlags {
+/// by the [`crate::FaultyStations`] overlay on it).
+#[derive(Debug)]
+pub(crate) struct SlotFlags {
     words: Vec<u64>,
-    len: usize,
 }
 
 impl SlotFlags {
     /// Flags for `n` stations, all clear.
     pub fn new(n: usize) -> Self {
-        SlotFlags { words: vec![0; n.div_ceil(32)], len: n }
-    }
-
-    /// Resize for `n` stations and clear everything (arena reuse).
-    pub fn reset(&mut self, n: usize) {
-        self.words.clear();
-        self.words.resize(n.div_ceil(32), 0);
-        self.len = n;
-    }
-
-    /// Number of stations tracked.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the flag set tracks zero stations.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+        SlotFlags { words: vec![0; n.div_ceil(32)] }
     }
 
     /// Clear both flags of every station — the per-slot reset, one memset.
@@ -247,56 +225,6 @@ pub trait StationSet {
     fn finalize(&mut self, config: &SimConfig, report: &mut RunReport);
 }
 
-/// Reusable per-thread simulation storage.
-///
-/// The Monte-Carlo hot path used to allocate the station vector, the
-/// `transmitted`/`asleep` buffers, the history ring, and (when tracing)
-/// the trace storage afresh for every trial. Passing one `SimArena` to
-/// [`crate::run_exact_in`] / [`crate::run_cohort_in`] (or
-/// [`SimCore::with_arena`]) across repeated runs reuses those allocations.
-/// Station boxes whose protocols support in-place
-/// [`Protocol::reset`] are recycled too, so the steady state of a
-/// resettable exact-engine trial loop allocates nothing at all.
-///
-/// An arena is plain storage — runs leave no observable difference other
-/// than speed, which the golden-seed suite and `engine_throughput` bench
-/// both check.
-#[derive(Default)]
-pub struct SimArena {
-    pub(crate) stations: Vec<Box<dyn Protocol>>,
-    pub(crate) flags: SlotFlags,
-    pub(crate) history: Option<ChannelHistory>,
-    pub(crate) trace: Option<Trace>,
-    pub(crate) fast: crate::fast::FastScratch,
-}
-
-impl SimArena {
-    /// A fresh, empty arena.
-    pub fn new() -> Self {
-        SimArena::default()
-    }
-
-    /// Take a report's trace back into the arena so the next traced run
-    /// reuses its allocation. Call after harvesting what you need from the
-    /// trace; a report without one is a no-op.
-    pub fn reclaim_trace(&mut self, report: &mut RunReport) {
-        if let Some(trace) = report.trace.take() {
-            self.trace = Some(trace);
-        }
-    }
-}
-
-impl std::fmt::Debug for SimArena {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimArena")
-            .field("stations", &self.stations.len())
-            .field("capacity", &self.flags.len())
-            .field("history", &self.history.is_some())
-            .field("trace", &self.trace.is_some())
-            .finish()
-    }
-}
-
 /// The jam-decision side of a slot: either the paper's commit-first
 /// adversary, or the model-violating oracle used as a negative control.
 enum Jammer {
@@ -374,39 +302,17 @@ struct Lane {
 }
 
 impl Lane {
-    /// A fresh lane for the run seeded `seed`, recycling the history ring
-    /// and trace storage held by `arena`, if any.
-    fn new(
-        config: &SimConfig,
-        jammer: Jammer,
-        t_window: u64,
-        seed: u64,
-        mut arena: Option<&mut SimArena>,
-    ) -> Self {
-        let retention = config.effective_retention(t_window);
-        let history = match arena.as_mut().and_then(|a| a.history.take()) {
-            Some(mut h) => {
-                h.reset(retention);
-                h
-            }
-            None => ChannelHistory::new(retention),
-        };
-        let trace = config.record_trace.then(|| {
-            TraceObserver::new(match arena.as_mut().and_then(|a| a.trace.take()) {
-                Some(mut t) => {
-                    t.reset();
-                    t
-                }
-                None => Trace::with_capacity(trace_capacity(config)),
-            })
-        });
+    /// A fresh lane for the run seeded `seed`.
+    fn new(config: &SimConfig, jammer: Jammer, t_window: u64, seed: u64) -> Self {
         Lane {
             jammer,
             rng: SmallRng::seed_from_u64(seed),
-            history,
+            history: ChannelHistory::new(config.effective_retention(t_window)),
             report: RunReport::default(),
             energy: EnergyObserver::default(),
-            trace,
+            trace: config
+                .record_trace
+                .then(|| TraceObserver::new(Trace::with_capacity(trace_capacity(config)))),
         }
     }
 
@@ -455,17 +361,13 @@ impl Lane {
         self.report.slots = slot + 1;
     }
 
-    /// Post-loop report assembly (channel counts, budget, energy, trace);
-    /// hands the history ring back to `arena`.
-    fn finish(mut self, arena: Option<&mut SimArena>) -> RunReport {
+    /// Post-loop report assembly (channel counts, budget, energy, trace).
+    fn finish(mut self) -> RunReport {
         self.report.counts = self.history.counts();
         self.report.adv_budget_spent = self.jammer.budget().spent_fraction();
         self.energy.finish(&mut self.report);
         if let Some(mut t) = self.trace {
             t.finish(&mut self.report);
-        }
-        if let Some(arena) = arena {
-            arena.history = Some(self.history);
         }
         self.report
     }
@@ -532,7 +434,6 @@ pub struct SimCore<'a> {
     config: &'a SimConfig,
     jammer: Jammer,
     t_window: u64,
-    arena: Option<&'a mut SimArena>,
     observers: Vec<&'a mut dyn SlotObserver>,
 }
 
@@ -543,7 +444,6 @@ impl<'a> SimCore<'a> {
             config,
             jammer: Jammer::commit_first(adversary, config.seed),
             t_window: adversary.t_window,
-            arena: None,
             observers: Vec::new(),
         }
     }
@@ -556,15 +456,8 @@ impl<'a> SimCore<'a> {
             config,
             jammer: Jammer::Oracle { budget: JamBudget::new(eps, t_window) },
             t_window,
-            arena: None,
             observers: Vec::new(),
         }
-    }
-
-    /// Reuse buffers from (and return them to) `arena`.
-    pub fn with_arena(mut self, arena: &'a mut SimArena) -> Self {
-        self.arena = Some(arena);
-        self
     }
 
     /// Attach an external per-slot observer (may be called repeatedly;
@@ -583,8 +476,7 @@ impl<'a> SimCore<'a> {
     pub fn run<S: StationSet>(mut self, stations: &mut S) -> RunReport {
         let config = self.config;
         assert!(config.n >= 1, "need at least one station");
-        let mut lane =
-            Lane::new(config, self.jammer, self.t_window, config.seed, self.arena.as_deref_mut());
+        let mut lane = Lane::new(config, self.jammer, self.t_window, config.seed);
         let wants_estimate =
             lane.trace.is_some() || self.observers.iter().any(|o| o.wants_estimate());
         let wants_probes = self.observers.iter().any(|o| o.wants_probes());
@@ -624,7 +516,7 @@ impl<'a> SimCore<'a> {
             }
         }
 
-        let mut report = lane.finish(self.arena);
+        let mut report = lane.finish();
         for obs in self.observers.iter_mut() {
             obs.finish(&mut report);
         }
@@ -728,7 +620,7 @@ pub(crate) fn run_lockstep<S: LaneStations>(
         .iter()
         .map(|&seed| {
             let jammer = Jammer::commit_first(adversary, seed);
-            Lane::new(config, jammer, adversary.t_window, seed, None)
+            Lane::new(config, jammer, adversary.t_window, seed)
         })
         .collect();
     let mut live = full_mask(k);
@@ -765,7 +657,7 @@ pub(crate) fn run_lockstep<S: LaneStations>(
         .into_iter()
         .enumerate()
         .map(|(t, lane)| {
-            let mut report = lane.finish(None);
+            let mut report = lane.finish();
             settle_timeout(config, &mut report, || stations.finished(t));
             report.leaders = stations.leaders(t);
             report

@@ -57,8 +57,8 @@
 //!
 //! Instrumentation (energy accounting, trace recording, live throughput)
 //! attaches as composable [`SlotObserver`] layers rather than being inlined
-//! in the loop, and repeated trials on one thread can reuse buffers
-//! through a [`SimArena`] ([`run_exact_in`] / [`run_cohort_in`]).
+//! in the loop. Every run builds its stations and buffers fresh and drops
+//! them when it ends.
 //!
 //! Plus the deterministic Rayon-parallel [`MonteCarlo`] driver used by all
 //! experiments (with a panic-isolating [`MonteCarlo::run_caught`]
@@ -84,18 +84,17 @@ pub mod runner;
 pub mod streams;
 pub mod telemetry;
 
-pub use crate::core::{SimArena, SimCore, SlotActions, SlotFlags, StationSet, ADV_SEED_XOR};
+pub use crate::core::{SimCore, SlotActions, StationSet, ADV_SEED_XOR};
 pub use batch::{run_batch_exact, run_batch_exact_faulty, run_batch_exact_with, run_batch_uniform};
 pub use churn::{
     run_batch_exact_churn, run_exact_churn, run_fast_exact_churn, ChurnPlan, StationChurn,
 };
 pub use cohort::{
-    run_cohort, run_cohort_against_oracle, run_cohort_in, run_cohort_with, sample_transmitters,
-    CohortStations,
+    run_cohort, run_cohort_against_oracle, run_cohort_with, sample_transmitters, CohortStations,
 };
 pub use config::{SimConfig, StopRule};
-pub use exact::{run_exact, run_exact_in, ExactStations};
-pub use fast::{run_fast_exact, run_fast_exact_faulty, run_fast_exact_in, FastExactStations};
+pub use exact::{run_exact, ExactStations};
+pub use fast::{run_fast_exact, run_fast_exact_faulty, FastExactStations};
 pub use faults::{run_exact_faulty, FaultPlan, FaultyStation, FaultyStations, StationFaults};
 pub use leadership::{LeaderLedger, SplitBrainObserver, SplitInterval};
 pub use multihop::{
@@ -108,5 +107,5 @@ pub use report::{
     ClusterOutcome, EnergyStats, MultihopReport, Outcome, RunReport, SlotCost, SplitBrainStats,
 };
 pub use runner::{catch_trial, panic_count, MonteCarlo, TrialOutcome};
-pub use streams::{fill_block, mix64, slot_material, station_key, StationRng};
+pub use streams::{mix64, slot_material, station_key, StationRng};
 pub use telemetry::{EngineMetrics, TelemetryObserver};

@@ -141,8 +141,7 @@ pub struct TraceObserver {
 }
 
 impl TraceObserver {
-    /// Record into `trace` (possibly recycled from a
-    /// [`crate::SimArena`]).
+    /// Record into `trace`.
     pub fn new(trace: Trace) -> Self {
         TraceObserver { trace }
     }

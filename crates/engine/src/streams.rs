@@ -67,27 +67,6 @@ pub fn slot_material(slot: u64) -> u64 {
     mix64(slot.wrapping_mul(GOLDEN) ^ SLOT_TAG)
 }
 
-/// Batch-width draw derivation: `out[k]` receives draw `draw_index` of
-/// the stream `(seeds[k], station, slot)` — bit-identical to advancing an
-/// independent [`StationRng::new`] per seed, but with the `mix64` key
-/// material shared across the batch (`station` and `slot` mixes plus the
-/// counter offset) hoisted out of the loop, so a 64-trial block costs two
-/// mixes per trial instead of four.
-///
-/// # Panics
-/// Panics if `out` is shorter than `seeds`.
-pub fn fill_block(seeds: &[u64], station: u64, slot: u64, draw_index: u64, out: &mut [u64]) {
-    assert!(out.len() >= seeds.len(), "output block shorter than the seed batch");
-    let station_mat = mix64(station.wrapping_mul(GOLDEN) ^ STATION_TAG);
-    let slot_mat = slot_material(slot);
-    let ctr_mat = draw_index.wrapping_mul(GOLDEN);
-    for (o, &seed) in out.iter_mut().zip(seeds.iter()) {
-        let key = mix64(seed ^ station_mat);
-        let state = mix64(key ^ slot_mat);
-        *o = mix64(state.wrapping_add(ctr_mat));
-    }
-}
-
 /// A counter-based generator over one station's draws in one slot.
 ///
 /// Implements [`RngCore`], so it slots into
@@ -215,29 +194,6 @@ mod tests {
         let dynr: &mut dyn RngCore = &mut r;
         let hits = (0..1000).filter(|_| dynr.gen_bool(0.5)).count();
         assert!((400..600).contains(&hits), "hits {hits}");
-    }
-
-    #[test]
-    fn fill_block_matches_64_independent_station_rngs() {
-        // The batch helper must be a pure re-bracketing of the scalar
-        // derivation: same bits as 64 independent `StationRng::new`
-        // streams advanced to the same draw index.
-        let seeds: Vec<u64> = (0..64u64).map(|k| mix64(k ^ 0xDEAD_BEEF)).collect();
-        for (station, slot, draw_index) in [(0u64, 0u64, 0u64), (3, 17, 0), (11, 2, 5), (7, 9, 1)] {
-            let mut block = vec![0u64; seeds.len()];
-            fill_block(&seeds, station, slot, draw_index, &mut block);
-            for (k, &seed) in seeds.iter().enumerate() {
-                let mut r = StationRng::new(seed, station, slot);
-                for _ in 0..draw_index {
-                    r.next_u64();
-                }
-                assert_eq!(
-                    block[k],
-                    r.next_u64(),
-                    "trial {k} at (station {station}, slot {slot}, draw {draw_index})"
-                );
-            }
-        }
     }
 
     #[test]

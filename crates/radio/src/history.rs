@@ -74,7 +74,7 @@ const INITIAL_RING: usize = 1 << 10;
 pub struct ChannelHistory {
     /// Power-of-two ring: slot `s` lives at `ring[s mod ring.len()]`. It
     /// grows by doubling (only before any slot has been dropped) until it
-    /// holds `retention` slots; [`reset`](Self::reset) keeps its length.
+    /// holds `retention` slots.
     ring: Vec<PackedSlot>,
     retention: usize,
     /// The `now` at which the ring must double before the next push;
@@ -88,26 +88,17 @@ impl ChannelHistory {
     /// Create a history retaining at least `retention` most-recent slots
     /// (minimum 1).
     pub fn new(retention: usize) -> Self {
-        let len = retention.clamp(1, INITIAL_RING).next_power_of_two();
+        let retention = retention.max(1);
+        let len = retention.min(INITIAL_RING).next_power_of_two();
         let mut h = ChannelHistory {
             ring: vec![PackedSlot::new(&SlotTruth::IDLE); len],
-            retention: 0,
+            retention,
             grow_at: 0,
             now: 0,
             counts: StateCounts::default(),
         };
-        h.reset(retention);
+        h.grow_at = h.next_growth();
         h
-    }
-
-    /// Reset to an empty history with a (possibly new) retention window,
-    /// keeping the ring allocation — the arena-reuse hook for repeated
-    /// trials on one thread.
-    pub fn reset(&mut self, retention: usize) {
-        self.retention = retention.max(1);
-        self.grow_at = self.next_growth();
-        self.now = 0;
-        self.counts = StateCounts::default();
     }
 
     /// Double the ring. Only reached while `now == ring.len() < retention`,
@@ -352,23 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_to_another_retention_matches_reference() {
-        // Arena reuse: one ring serves a sequence of trials with shrinking
-        // and growing retentions, some reset mid-growth.
-        let mut h = ChannelHistory::new(3000);
-        let mut r = Reference::new(3000);
-        drive(&mut h, &mut r, 1500);
-        for (retention, len) in
-            [(5, 400), (1, 50), (2500, 6000), (7, 20), (100, 1000), (4096, 9000)]
-        {
-            h.reset(retention);
-            r = Reference::new(retention);
-            assert_matches(&h, &r);
-            drive(&mut h, &mut r, len);
-        }
-    }
-
-    #[test]
     fn huge_retention_allocates_lazily() {
         // Memory stays bounded by what has been pushed: construction
         // reserves at most 2^20 entries, and the ring only grows as slots
@@ -378,8 +352,8 @@ mod tests {
         let mut r = Reference::new(1 << 40);
         drive(&mut h, &mut r, 3000);
         assert!(h.ring.capacity() <= 4096);
-        h.reset(usize::MAX);
-        assert!(h.ring.capacity() <= 4096);
+        let h = ChannelHistory::new(usize::MAX);
+        assert!(h.ring.capacity() <= 1 << 10);
         assert_eq!(h.retained_from(), 0);
     }
 }
